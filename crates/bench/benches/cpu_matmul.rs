@@ -1,6 +1,8 @@
-//! CPU GEMM and einsum benchmarks: the tiled kernel vs the naive triple
-//! loop, and the einsum pack→GEMM→unpack pipeline on the paper's
-//! projection shapes (scaled to CPU size).
+//! CPU GEMM and einsum benchmarks: the packed kernel vs the naive
+//! triple loop (both compute the same FMA chains), the n = 1
+//! matrix-vector products of a decode step, and the einsum
+//! pack→GEMM→unpack pipeline on the paper's projection shapes (scaled to
+//! CPU size).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::distributions::Uniform;
@@ -11,59 +13,19 @@ use std::hint::black_box;
 use xform_tensor::matmul::{batched_sgemm, naive_sgemm, sgemm};
 use xform_tensor::{einsum, Shape, Tensor};
 
-/// The pre-optimization inner kernel, kept verbatim for before/after
-/// comparison: identical blocking to [`sgemm`] but with the `aik == 0`
-/// skip branch in the hot loop (removed from the real kernel because the
-/// branch costs more than the FMAs it saves on dense operands).
-fn sgemm_skip_zero(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    const BLOCK: usize = 64;
-    for i0 in (0..m).step_by(BLOCK) {
-        let i1 = (i0 + BLOCK).min(m);
-        for k0 in (0..k).step_by(BLOCK) {
-            let k1 = (k0 + BLOCK).min(k);
-            for j0 in (0..n).step_by(BLOCK) {
-                let j1 = (j0 + BLOCK).min(n);
-                for i in i0..i1 {
-                    let c_row = &mut c[i * n + j0..i * n + j1];
-                    for kk in k0..k1 {
-                        let aik = a[i * k + kk];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let b_row = &b[kk * n + j0..kk * n + j1];
-                        for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                            *cv += aik * bv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 fn bench_sgemm(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let (m, n, k) = (256, 256, 256);
     let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let mut group = c.benchmark_group("sgemm-256");
-    group.bench_function(BenchmarkId::new("tiled", "blocked"), |bch| {
+    group.bench_function(BenchmarkId::new("packed", "register-blocked"), |bch| {
         bch.iter(|| {
             let mut cbuf = vec![0.0f32; m * n];
             sgemm(m, n, k, black_box(&a), black_box(&b), &mut cbuf);
             black_box(cbuf)
         })
     });
-    group.bench_function(
-        BenchmarkId::new("tiled", "blocked + zero-skip (old)"),
-        |bch| {
-            bch.iter(|| {
-                let mut cbuf = vec![0.0f32; m * n];
-                sgemm_skip_zero(m, n, k, black_box(&a), black_box(&b), &mut cbuf);
-                black_box(cbuf)
-            })
-        },
-    );
     group.bench_function(BenchmarkId::new("naive", "triple loop"), |bch| {
         bch.iter(|| {
             let mut cbuf = vec![0.0f32; m * n];
@@ -71,6 +33,30 @@ fn bench_sgemm(c: &mut Criterion) {
             black_box(cbuf)
         })
     });
+    group.finish();
+}
+
+fn bench_gemv(c: &mut Criterion) {
+    // the decode step's n = 1 products at GPT-2-small width: the fused
+    // QKV projection, the feed-forward up and down projections
+    let mut group = c.benchmark_group("gemv-n1");
+    for (label, m, k) in [
+        ("qkv", 2304, 768),
+        ("ff-up", 3072, 768),
+        ("ff-down", 768, 3072),
+    ] {
+        let mut rng = StdRng::seed_from_u64(5);
+        let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let x: Vec<f32> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut y = vec![0.0f32; m];
+        group.bench_function(BenchmarkId::new(label, format!("{m}x{k}")), |bch| {
+            bch.iter(|| {
+                y.fill(0.0);
+                sgemm(m, 1, k, black_box(&a), black_box(&x), &mut y);
+                black_box(&mut y);
+            })
+        });
+    }
     group.finish();
 }
 
@@ -158,6 +144,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_sgemm, bench_batched_sgemm, bench_einsum_projection, bench_einsum_batched
+    targets = bench_sgemm, bench_gemv, bench_batched_sgemm, bench_einsum_projection, bench_einsum_batched
 }
 criterion_main!(benches);

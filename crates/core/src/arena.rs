@@ -1940,6 +1940,8 @@ struct PoolState {
     job: Option<WaveJob>,
     running: usize,
     panicked: bool,
+    /// Workers that have reached their first `work_cv` wait.
+    parked: usize,
 }
 
 /// The persistent wave-execution pool. Workers are spawned once, on the
@@ -2014,22 +2016,24 @@ impl Pool {
 
 fn worker_loop(pool: &'static Pool) {
     let mut seen = 0u64;
+    let mut st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
+    // `pool()` returns once every worker has counted itself here; the
+    // guard is held into the first `work_cv` wait, so a worker's start-up
+    // is over before the pool is handed out
+    st.parked += 1;
+    pool.done_cv.notify_all();
     loop {
-        let job = {
-            let mut st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                match st.job {
-                    Some(j) if st.epoch != seen => {
-                        seen = st.epoch;
-                        st.running += 1;
-                        break j;
-                    }
-                    _ => {
-                        st = pool.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                    }
+        let job = loop {
+            match st.job {
+                Some(j) if st.epoch != seen => {
+                    seen = st.epoch;
+                    st.running += 1;
+                    break j;
                 }
+                _ => st = pool.work_cv.wait(st).unwrap_or_else(|e| e.into_inner()),
             }
         };
+        drop(st);
         let res = catch_unwind(AssertUnwindSafe(|| loop {
             let i = pool.claim.fetch_add(1, Ordering::Relaxed);
             if i >= job.wave_len {
@@ -2050,7 +2054,7 @@ fn worker_loop(pool: &'static Pool) {
                 )
             };
         }));
-        let mut st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
+        st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
         if res.is_err() {
             st.panicked = true;
         }
@@ -2076,6 +2080,7 @@ fn pool() -> &'static Pool {
                 job: None,
                 running: 0,
                 panicked: false,
+                parked: 0,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
@@ -2085,6 +2090,13 @@ fn pool() -> &'static Pool {
         for _ in 0..workers {
             std::thread::spawn(move || worker_loop(pool));
         }
+        // block until every worker is parked, so no thread's start-up
+        // (stack, thread-locals) runs inside a caller's measured window
+        let mut st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
+        while st.parked < workers {
+            st = pool.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+        drop(st);
         pool
     })
 }

@@ -169,10 +169,11 @@ impl ContractPlan {
 }
 
 /// Executes a precompiled contraction: gathers `a`/`b` into the pack
-/// scratch, runs one serial GEMM per batch slice, and scatters the result
-/// into `out`. The batch loop is intentionally serial — arena steps are
-/// already parallelized across waves, and per-slice GEMMs are bitwise
-/// identical to the threaded `batched_sgemm` either way.
+/// scratch, runs [`sgemm`] on each batch slice from a zeroed C, and
+/// scatters the result into `out`. Every output element is `sgemm`'s
+/// fixed-order FMA chain over K, so the result is bitwise that of the
+/// reference [`crate::contract::contract`], whose `batched_sgemm` may
+/// spread the slices over threads; here they run on the calling thread.
 ///
 /// # Panics
 ///

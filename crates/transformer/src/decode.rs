@@ -41,6 +41,7 @@ use xform_core::analyze::{analyze, ArenaGranularity};
 use xform_core::arena::{ArenaArtifact, ArenaOutcome, ArenaRun, CompiledArena};
 use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;
+use xform_tensor::matmul::sgemm;
 use xform_tensor::ops::elementwise::{bias_add, ActivationKind};
 use xform_tensor::{into_ops, Result, Shape, Tensor, TensorError};
 
@@ -236,25 +237,19 @@ impl<'m> DecodeSession<'m> {
         }
     }
 
-    /// Head logits of the hidden column `h[i,b,0]`, replicating the exact
-    /// accumulation of `einsum("vi,ibj->vbj")` + `bias_add`: per output
-    /// element, products accumulate over `i` ascending from `0.0`, then
-    /// the bias is added — bitwise the full-sequence head at any length.
+    /// Head logits of the hidden column `h[i,b,0]`: the `sgemm` behind
+    /// `einsum("vi,ibj->vbj")` at n = b from a zero C, then the bias, as in
+    /// `bias_add` — the full-sequence head's kernel, so bitwise its logits
+    /// at any length.
     fn head_column(&mut self) {
         let d = self.model.config.dims;
         let v = self.model.config.vocab;
-        let head = self.model.head.data();
-        let bias = self.model.head_bias.data();
-        let h = self.h_cur.data();
         let out = self.logits.data_mut();
-        for vi in 0..v {
-            let row = &head[vi * d.i..(vi + 1) * d.i];
-            for b in 0..d.b {
-                let mut acc = 0.0f32;
-                for (i, &w) in row.iter().enumerate() {
-                    acc += w * h[i * d.b + b];
-                }
-                out[vi * d.b + b] = acc + bias[vi];
+        out.fill(0.0);
+        sgemm(v, d.b, d.i, self.model.head.data(), self.h_cur.data(), out);
+        for (row, &bias) in out.chunks_exact_mut(d.b).zip(self.model.head_bias.data()) {
+            for x in row {
+                *x += bias;
             }
         }
     }
