@@ -13,26 +13,26 @@
 //!    itself); a proven escape is a [`PlanLint::UnprovenAccess`] error;
 //! 2. **unit-stride** — the innermost loop of every swept operand advances
 //!    by one word under the declared (SSSP-selected) layout; an in-bounds
-//!    but strided inner loop is a [`PlanLint::StridedInnerLoop`] warning
-//!    (correct, just not vectorizable);
+//!    but strided inner loop is a [`PlanLint::StridedInnerLoop`] warning:
+//!    correct, but the step runs its kernel's strided general loop rather
+//!    than the contiguous-row fast path;
 //! 3. **alias-freedom** — no two operand paths of one step overlap with
 //!    conflicting access kinds beyond what the race certificate already
 //!    permits (shared reads).
 //!
 //! A clean pass yields an [`AccessCertificate`], carried alongside the
 //! [`crate::sanitize::RaceCertificate`] and keyed to the plan by
-//! [`crate::sanitize::plan_fingerprint`]. The certificate is what
-//! *licenses* the bounds-check-free kernel twins of
-//! [`xform_tensor::into_ops`]: the arena interpreter dispatches a step's
-//! unchecked twin only when [`StepAccessProof::licensed`] holds, and falls
-//! back to the checked kernel otherwise. Fallback — not panic — is the
-//! failure mode throughout: a step the certifier cannot derive is simply
-//! never licensed, so unchecked code is never trusted, only verified.
+//! [`crate::sanitize::plan_fingerprint`]. The arena compiler requires it
+//! ([`crate::arena::CompiledArena::compile`] refuses a plan that does not
+//! certify), and the shadow sanitizer re-checks the certified paths
+//! against live buffers. It grants no kernel choice: every
+//! [`xform_tensor::into_ops`] lane kernel picks its unit-stride fast path
+//! from its own lane geometry, so the certificate is a safety proof only.
 //!
 //! Steps the certifier cannot model exactly (unknown operator kinds,
 //! operand lists that disagree with the graph) degrade to conservative
-//! whole-buffer paths: still sound for the bounds and aliasing checks, but
-//! never licensed.
+//! whole-buffer paths: still sound for the bounds and aliasing checks, and
+//! marked not `derived`.
 
 use std::collections::HashMap;
 
@@ -132,8 +132,7 @@ pub struct StepAccesses {
     /// Every operand access the step performs.
     pub accesses: Vec<OperandAccess>,
     /// `true` when every path is exact; `false` when any operand degraded
-    /// to a conservative whole-buffer path (the step can never be
-    /// licensed).
+    /// to a conservative whole-buffer path.
     pub derived: bool,
 }
 
@@ -154,20 +153,10 @@ pub struct StepAccessProof {
     pub derived: bool,
 }
 
-impl StepAccessProof {
-    /// Whether this step's unchecked kernel twin may be dispatched.
-    /// Dispatch sites additionally require that a twin exists for the
-    /// step's kernel class; everything else falls back to the checked
-    /// path.
-    pub fn licensed(&self) -> bool {
-        self.in_bounds && self.unit_stride && self.alias_free && self.derived
-    }
-}
-
 /// Proof that every access of a plan is in-bounds and alias-free, with a
-/// per-step license for the unchecked kernel twins. Produced only by a
-/// clean [`certify_access`] / [`certify_access_arena`] pass and keyed to
-/// the plan by [`plan_fingerprint`], so an edited schedule must be
+/// per-step unit-stride verdict. Produced only by a clean
+/// [`certify_access`] / [`certify_access_arena`] pass and keyed to the
+/// plan by [`plan_fingerprint`], so an edited schedule must be
 /// re-certified.
 #[derive(Debug, Clone)]
 pub struct AccessCertificate {
@@ -181,18 +170,6 @@ pub struct AccessCertificate {
     /// Warning-severity lints found along the way (strided inner loops);
     /// error-severity lints abort certification instead.
     pub lints: Vec<PlanLint>,
-}
-
-impl AccessCertificate {
-    /// Whether step `si` is licensed for unchecked dispatch.
-    pub fn licensed(&self, si: usize) -> bool {
-        self.steps.get(si).is_some_and(StepAccessProof::licensed)
-    }
-
-    /// Number of licensed steps.
-    pub fn licensed_steps(&self) -> usize {
-        self.steps.iter().filter(|p| p.licensed()).count()
-    }
 }
 
 /// `true` when two access kinds on overlapping words are a conflict.
@@ -721,7 +698,7 @@ fn certify_inner(
                     None => in_bounds = false,
                 }
             }
-            // unit-stride license for swept operands
+            // unit-stride verdict for swept operands
             if a.swept && a.path.inner_stride() != 1 && !strided_seen.contains(&a.name.as_str()) {
                 strided_seen.push(&a.name);
                 unit_stride = false;
@@ -861,8 +838,8 @@ impl DecodeCertificate {
 
 /// Certifies that `plan` never writes a [`xform_dataflow::DataRole::Cache`] container:
 /// every step's derived access paths touching a cache container must be
-/// reads. The same derivation the unchecked-twin license rests on backs
-/// this proof, so an inexactly-derived step touching a cache convicts the
+/// reads. The same path derivation as [`certify_access`] backs this
+/// proof, so an inexactly-derived step touching a cache convicts the
 /// plan rather than passing silently.
 ///
 /// # Errors
@@ -973,7 +950,7 @@ mod tests {
     }
 
     #[test]
-    fn canned_fused_plan_certifies_with_licensed_memory_bound_steps() {
+    fn canned_fused_plan_certifies_with_unit_stride_memory_bound_steps() {
         let (g, plan) = fused_plan();
         let cert = certify_access(&g, &plan).expect("canned plan must certify");
         assert_eq!(cert.plan_hash, plan_fingerprint(&plan));
@@ -984,17 +961,20 @@ mod tests {
             assert!(p.alias_free, "step `{}` alias free", p.name);
             assert!(p.derived, "step `{}` derived", p.name);
         }
-        // the attention softmax sweeps its innermost axis: licensed
+        // the attention softmax sweeps its innermost axis: unit-stride
         let sm = plan.steps.iter().position(|s| s.name == "SM").unwrap();
-        assert!(cert.licensed(sm), "softmax class must be licensed");
+        assert!(
+            cert.steps[sm].unit_stride,
+            "softmax class must be unit-stride"
+        );
         // the encoder's norm containers are embedding-major (`ibj`), so
         // the norm steps genuinely stride in their inner loop — flagged
-        // as warnings, never licensed
+        // as warnings
         for (si, step) in plan.steps.iter().enumerate() {
             if step.name.contains("DRLN") {
                 assert!(
-                    !cert.licensed(si),
-                    "strided `{}` must not be licensed",
+                    !cert.steps[si].unit_stride,
+                    "strided `{}` must not be unit-stride",
                     step.name
                 );
                 assert!(cert
@@ -1003,7 +983,7 @@ mod tests {
                     .any(|l| matches!(l, PlanLint::StridedInnerLoop { step, .. } if *step == si)));
             }
         }
-        assert!(cert.licensed_steps() > 0);
+        assert!(cert.steps.iter().any(|p| p.unit_stride));
     }
 
     #[test]
@@ -1014,7 +994,7 @@ mod tests {
             let asg = assign_arena(&analysis, gran);
             let cert = certify_access_arena(&g, &plan, &asg).expect("arena embedding certifies");
             assert_eq!(cert.arena, Some(gran));
-            assert!(cert.licensed_steps() > 0);
+            assert!(cert.steps.iter().any(|p| p.unit_stride));
         }
     }
 
@@ -1059,8 +1039,8 @@ mod tests {
     fn strided_inner_loop_is_flagged_but_not_fatal() {
         let (g, mut plan) = fused_plan();
         // rotate the softmax input's layout so the reduce axis `k` is no
-        // longer innermost: a licensed step becomes a flagged, unlicensed
-        // one — but certification still succeeds (fallback, not failure)
+        // longer innermost: a unit-stride step becomes a flagged, strided
+        // one — but certification still succeeds (a warning, not a failure)
         let si = plan.steps.iter().position(|s| s.name == "SM").unwrap();
         let rotated: String = {
             let mut chars: Vec<char> = plan.steps[si].inputs[0].layout.chars().collect();
@@ -1073,7 +1053,7 @@ mod tests {
             .lints
             .iter()
             .any(|l| matches!(l, PlanLint::StridedInnerLoop { step, name, .. } if *step == si && name == "SM")));
-        assert!(!cert.licensed(si));
+        assert!(!cert.steps[si].unit_stride);
     }
 
     #[test]

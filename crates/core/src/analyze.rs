@@ -324,8 +324,8 @@ pub enum PlanLint {
         reason: String,
     },
     /// The operand's innermost-loop access is in-bounds but not unit-stride
-    /// under the selected layout, so the branch-free unchecked inner loop is
-    /// not licensed and the step falls back to the checked path (emitted by
+    /// under the selected layout, so the step runs its kernel's strided
+    /// general loop instead of the contiguous-row fast path (emitted by
     /// [`access::certify_access`](crate::access::certify_access)).
     StridedInnerLoop {
         /// Step index.
@@ -625,7 +625,7 @@ impl fmt::Display for PlanLint {
                 stride,
             } => write!(
                 f,
-                "step {step} (`{name}`): innermost loop over `{container}` strides by {stride} words — unchecked inner loop not licensed"
+                "step {step} (`{name}`): innermost loop over `{container}` strides by {stride} words — runs the strided general path"
             ),
             PlanLint::TileOverflow {
                 step,

@@ -329,10 +329,9 @@ pub struct ArenaRun {
 pub enum ArenaOutcome {
     /// The plan executed out of the slab.
     Ran,
-    /// The arena was unavailable (buffers busy in another thread, an
-    /// external failed to bind, or the thread/granularity combination
-    /// does not match) — the caller should fall back to the allocating
-    /// interpreter.
+    /// The arena cannot run this call (an external failed to bind, or the
+    /// thread/granularity combination does not match) — the caller
+    /// should fall back to the allocating interpreter.
     Busy,
 }
 
@@ -375,9 +374,6 @@ pub struct CompiledArena {
     granularity: ArenaGranularity,
     cert: ArenaCertificate,
     access: AccessCertificate,
-    /// Per step: the access certificate licensed unchecked dispatch AND
-    /// the step's kernel class has an unchecked twin.
-    licensed: Vec<bool>,
     slab_words: usize,
     scratch_words: usize,
     stats_words: usize,
@@ -642,15 +638,6 @@ impl CompiledArena {
             }
         }
 
-        // a step runs its bounds-check-free twin only when the access
-        // certificate proved its paths AND such a twin exists for its
-        // kernel class; everything else takes the checked kernel
-        let licensed: Vec<bool> = steps
-            .iter()
-            .enumerate()
-            .map(|(si, s)| access.licensed(si) && step_has_unchecked_twin(s))
-            .collect();
-
         let slab_words = assignment.slab_words as usize;
 
         // sanitizer poison spans: the whole slab minus persistent ranges
@@ -682,7 +669,6 @@ impl CompiledArena {
             granularity,
             cert,
             access,
-            licensed,
             slab_words,
             scratch_words,
             stats_words,
@@ -717,11 +703,6 @@ impl CompiledArena {
     /// alias-free within the slab.
     pub fn access_certificate(&self) -> &AccessCertificate {
         &self.access
-    }
-
-    /// Number of steps dispatching their bounds-check-free kernel twin.
-    pub fn licensed_steps(&self) -> usize {
-        self.licensed.iter().filter(|&&l| l).count()
     }
 
     /// Slab size in words — the arena's high-water mark.
@@ -795,13 +776,17 @@ impl CompiledArena {
     /// artifacts borrow slab storage, so copying sinks stay
     /// allocation-free.
     ///
-    /// Returns [`ArenaOutcome::Busy`] without executing when the buffers
-    /// are locked by a concurrent run or the thread/granularity
-    /// combination does not match.
+    /// A call waits while another thread runs this arena rather than
+    /// falling back: the allocating interpreters draw dropout masks from
+    /// other RNG streams, so a fallback taken only under contention
+    /// would make the result depend on timing. Returns
+    /// [`ArenaOutcome::Busy`] without executing when the thread/
+    /// granularity combination does not match.
     ///
     /// # Errors
     ///
-    /// Returns an error when a worker panics or the shadow sanitizer
+    /// Returns an error when a worker panics, when an earlier run
+    /// panicked while holding the buffers, or when the shadow sanitizer
     /// detects a non-finite output (a read of a dead, reused buffer).
     pub fn execute_bound(
         &self,
@@ -812,9 +797,9 @@ impl CompiledArena {
         if run.threads > 1 && self.granularity != ArenaGranularity::Waves {
             return Ok(ArenaOutcome::Busy);
         }
-        let Ok(mut guard) = self.buffers.try_lock() else {
-            return Ok(ArenaOutcome::Busy);
-        };
+        let mut guard = self.buffers.lock().map_err(|_| {
+            TensorError::Unsupported("arena buffers were left by a panicked run".into())
+        })?;
         let bufs = &mut *guard;
         if run.sanitize {
             // poison everything except persistent (cache) ranges, whose
@@ -923,10 +908,8 @@ impl CompiledArena {
                 let mut rng = step_rng(run.seed, si);
                 // SAFETY: the arena certificate proves every pair of
                 // simultaneously-live buffers occupies disjoint slab
-                // ranges, and serial execution never overlaps two steps;
-                // `licensed` only when the access certificate proved this
-                // step's paths.
-                unsafe { run_step(&self.steps[si], self.licensed[si], mem, run, &mut rng) };
+                // ranges, and serial execution never overlaps two steps.
+                unsafe { run_step(&self.steps[si], mem, run, &mut rng) };
             }
             if run.sanitize {
                 self.sanitize_wave(mem, w)?;
@@ -945,10 +928,10 @@ impl CompiledArena {
                 for &si in wave {
                     let mut rng = step_rng(run.seed, si);
                     // SAFETY: as in `run_serial`.
-                    unsafe { run_step(&self.steps[si], self.licensed[si], mem, run, &mut rng) };
+                    unsafe { run_step(&self.steps[si], mem, run, &mut rng) };
                 }
             } else {
-                pool.run_wave(&self.steps, &self.licensed, wave, mem, run)?;
+                pool.run_wave(&self.steps, wave, mem, run)?;
             }
             if run.sanitize {
                 self.sanitize_wave(mem, w)?;
@@ -1572,26 +1555,9 @@ fn compile_step(
     Ok(Some(exec))
 }
 
-/// `true` when the step's kernel class has a bounds-check-free twin in
-/// `into_ops`. Contractions gather through `copy_strided`/`sgemm` (already
-/// branch-free on packed buffers) and the zip-iterator element-wise
-/// kernels compile without bounds checks as-is, so neither has one.
-fn step_has_unchecked_twin(step: &StepExec) -> bool {
-    !matches!(
-        step,
-        StepExec::Contract { .. }
-            | StepExec::Scale { .. }
-            | StepExec::Dropout { .. }
-            | StepExec::Activate { .. }
-            | StepExec::Residual { .. }
-    )
-}
-
-/// Executes one precompiled step out of the slab. When `licensed` is set
-/// the step's bounds-check-free kernel twin is dispatched; the license is
-/// granted only by a clean [`crate::access::certify_access_arena`] pass
-/// over this exact plan and slab coloring, and every unlicensed step
-/// falls back to the checked kernel.
+/// Executes one precompiled step out of the slab through its `*_into`
+/// kernel, which picks its unit-stride fast path from the step's own lane
+/// geometry.
 ///
 /// # Safety
 ///
@@ -1599,16 +1565,8 @@ fn step_has_unchecked_twin(step: &StepExec) -> bool {
 /// step references, and no concurrently-running step may write any word
 /// this step touches — guaranteed by the arena certificate (interval
 /// overlap ⇒ range disjointness) plus the wave partition's race
-/// certificate semantics. When `licensed` is set, the access certificate
-/// must have proven every derived path of this step in-bounds,
-/// unit-stride, and alias-free.
-unsafe fn run_step<R: Rng + ?Sized>(
-    step: &StepExec,
-    licensed: bool,
-    mem: SlabMem,
-    run: &ArenaRun,
-    rng: &mut R,
-) {
+/// certificate semantics.
+unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRun, rng: &mut R) {
     let p = run.dropout_p;
     match step {
         StepExec::Contract {
@@ -1632,20 +1590,12 @@ unsafe fn run_step<R: Rng + ?Sized>(
         },
         StepExec::Bias { x, bias, out, bmap } => unsafe {
             let (x, bias, out) = (mem.slab(*x), mem.slab(*bias), mem.slab_mut(*out));
-            if licensed {
-                into_ops::bias_add_into_unchecked(x, bias, bmap, out);
-            } else {
-                into_ops::bias_add_into(x, bias, bmap, out);
-            }
+            into_ops::bias_add_into(x, bias, bmap, out);
         },
         StepExec::InputBias { parts } => unsafe {
             for (x, bias, out, bmap) in parts {
                 let (x, bias, out) = (mem.slab(*x), mem.slab(*bias), mem.slab_mut(*out));
-                if licensed {
-                    into_ops::bias_add_into_unchecked(x, bias, bmap, out);
-                } else {
-                    into_ops::bias_add_into(x, bias, bmap, out);
-                }
+                into_ops::bias_add_into(x, bias, bmap, out);
             }
         },
         StepExec::Scale { x, out } => unsafe {
@@ -1653,11 +1603,7 @@ unsafe fn run_step<R: Rng + ?Sized>(
         },
         StepExec::SoftmaxScaled { x, out, lane } => unsafe {
             let (x, out) = (mem.slab(*x), mem.slab_mut(*out));
-            if licensed {
-                into_ops::softmax_scaled_into_unchecked(x, run.scaler, *lane, out);
-            } else {
-                into_ops::softmax_scaled_into(x, run.scaler, *lane, out);
-            }
+            into_ops::softmax_scaled_into(x, run.scaler, *lane, out);
         },
         StepExec::SoftmaxCausal {
             x,
@@ -1667,11 +1613,7 @@ unsafe fn run_step<R: Rng + ?Sized>(
         } => unsafe {
             let (x, out) = (mem.slab(*x), mem.slab_mut(*out));
             let c = causal.at(causal.base + run.pos);
-            if licensed {
-                into_ops::softmax_causal_into_unchecked(x, run.scaler, *lane, c, out);
-            } else {
-                into_ops::softmax_causal_into(x, run.scaler, *lane, c, out);
-            }
+            into_ops::softmax_causal_into(x, run.scaler, *lane, c, out);
         },
         StepExec::Sm {
             x,
@@ -1688,11 +1630,7 @@ unsafe fn run_step<R: Rng + ?Sized>(
                 mem.slab_mut(*mask),
             );
             let c = causal.map(|c| c.at(c.base + run.pos));
-            if licensed {
-                into_ops::sm_into_unchecked(x, run.scaler, *lane, c, p, rng, softmax, alpha, mask);
-            } else {
-                into_ops::sm_into(x, run.scaler, *lane, c, p, rng, softmax, alpha, mask);
-            }
+            into_ops::sm_into(x, run.scaler, *lane, c, p, rng, softmax, alpha, mask);
         },
         StepExec::LayerNorm {
             x,
@@ -1711,11 +1649,7 @@ unsafe fn run_step<R: Rng + ?Sized>(
                 mem.stats_mut(*mean),
                 mem.stats_mut(*inv_std),
             );
-            if licensed {
-                into_ops::layernorm_into_unchecked(x, gamma, beta, *lane, out, mean, inv_std);
-            } else {
-                into_ops::layernorm_into(x, gamma, beta, *lane, out, mean, inv_std);
-            }
+            into_ops::layernorm_into(x, gamma, beta, *lane, out, mean, inv_std);
         },
         StepExec::Dropout { x, out, mask } => unsafe {
             if p > 0.0 {
@@ -1766,17 +1700,10 @@ unsafe fn run_step<R: Rng + ?Sized>(
                 mem.stats_mut(*mean),
                 mem.stats_mut(*inv_std),
             );
-            if licensed {
-                into_ops::bdrln_into_unchecked(
-                    x, bias, bmap, residual, gamma, beta, *lane, p, rng, mask, ln_input, out, mean,
-                    inv_std,
-                );
-            } else {
-                into_ops::bdrln_into(
-                    x, bias, bmap, residual, gamma, beta, *lane, p, rng, mask, ln_input, out, mean,
-                    inv_std,
-                );
-            }
+            into_ops::bdrln_into(
+                x, bias, bmap, residual, gamma, beta, *lane, p, rng, mask, ln_input, out, mean,
+                inv_std,
+            );
         },
         StepExec::BrdAct {
             x,
@@ -1793,31 +1720,17 @@ unsafe fn run_step<R: Rng + ?Sized>(
                 mem.slab_mut(*out),
                 mem.slab_mut(*mask),
             );
-            if licensed {
-                into_ops::brd_act_into_unchecked(
-                    x,
-                    bias,
-                    bmap,
-                    run.activation,
-                    p,
-                    rng,
-                    pre_activation,
-                    out,
-                    mask,
-                );
-            } else {
-                into_ops::brd_act_into(
-                    x,
-                    bias,
-                    bmap,
-                    run.activation,
-                    p,
-                    rng,
-                    pre_activation,
-                    out,
-                    mask,
-                );
-            }
+            into_ops::brd_act_into(
+                x,
+                bias,
+                bmap,
+                run.activation,
+                p,
+                rng,
+                pre_activation,
+                out,
+                mask,
+            );
         },
         StepExec::Bdr {
             x,
@@ -1834,11 +1747,7 @@ unsafe fn run_step<R: Rng + ?Sized>(
                 mem.slab_mut(*mask),
                 mem.slab_mut(*out),
             );
-            if licensed {
-                into_ops::bdr_into_unchecked(x, bias, bmap, residual, p, rng, mask, out);
-            } else {
-                into_ops::bdr_into(x, bias, bmap, residual, p, rng, mask, out);
-            }
+            into_ops::bdr_into(x, bias, bmap, residual, p, rng, mask, out);
         },
         StepExec::ContractEpilogue {
             a,
@@ -1861,7 +1770,6 @@ unsafe fn run_step<R: Rng + ?Sized>(
                     mem.scratch_mut(*t_off, *tile_rows * plan.n),
                     p,
                     rng,
-                    licensed,
                     e,
                 );
             };
@@ -1926,13 +1834,18 @@ pub fn env_sanitize_cached() -> bool {
 #[derive(Clone, Copy)]
 struct WaveJob {
     steps: *const StepExec,
-    licensed: *const bool,
     wave: *const usize,
     wave_len: usize,
     mem: SlabMem,
     run: ArenaRun,
 }
 
+// SAFETY: `steps` and `wave` point into the publishing arena's immutable
+// step table and wave list, which the publisher keeps alive and unmodified
+// until every worker has drained (`Pool::run_wave` waits for
+// `running == 0`); `StepExec` and `usize` are `Sync`, so shared reads from
+// several threads are sound. `mem` is `Send` on its own (see `SlabMem`),
+// and `wave_len`/`run` are `Copy` values.
 unsafe impl Send for WaveJob {}
 
 struct PoolState {
@@ -1963,7 +1876,6 @@ impl Pool {
     fn run_wave(
         &self,
         steps: &[StepExec],
-        licensed: &[bool],
         wave: &[usize],
         mem: SlabMem,
         run: &ArenaRun,
@@ -1973,7 +1885,6 @@ impl Pool {
             let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
             st.job = Some(WaveJob {
                 steps: steps.as_ptr(),
-                licensed: licensed.as_ptr(),
                 wave: wave.as_ptr(),
                 wave_len: wave.len(),
                 mem,
@@ -1992,7 +1903,7 @@ impl Pool {
             let si = wave[i];
             let mut rng = step_rng(run.seed, si);
             // SAFETY: per the arena and access certificates, see `run_step`.
-            unsafe { run_step(&steps[si], licensed[si], mem, run, &mut rng) };
+            unsafe { run_step(&steps[si], mem, run, &mut rng) };
         }));
         // wait until no worker still holds the job's pointers, then
         // retract it — workers that wake later see `None` and re-wait
@@ -2044,15 +1955,7 @@ fn worker_loop(pool: &'static Pool) {
             // worker finishes.
             let si = unsafe { *job.wave.add(i) };
             let mut rng = step_rng(job.run.seed, si);
-            unsafe {
-                run_step(
-                    &*job.steps.add(si),
-                    *job.licensed.add(si),
-                    job.mem,
-                    &job.run,
-                    &mut rng,
-                )
-            };
+            unsafe { run_step(&*job.steps.add(si), job.mem, &job.run, &mut rng) };
         }));
         st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
         if res.is_err() {

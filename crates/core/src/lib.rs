@@ -25,10 +25,11 @@
 //!   `*_into` kernels so steady-state forwards touch the heap not at all;
 //! * [`access`] — the access-path certifier: symbolic abstract
 //!   interpretation deriving every operand's index-affine access path per
-//!   step and proving in-bounds, unit-stride, alias-free access
+//!   step and proving in-bounds, alias-free access
 //!   ([`access::certify_access`]); a clean pass yields an
-//!   [`access::AccessCertificate`] that licenses the bounds-check-free
-//!   kernel twins in `xform_tensor::into_ops`;
+//!   [`access::AccessCertificate`], which the arena requires, and flags
+//!   every step whose inner loop strides (it runs its kernel's strided
+//!   general path);
 //! * [`sanitize`] — the footprint sanitizer and race certifier: a static
 //!   certifier cross-checking declared operands against derived kernel
 //!   footprints ([`sanitize::certify`]), a dynamic shadow-access

@@ -433,7 +433,7 @@ pub struct ExecOptions<'p> {
     /// Optional compiled arena for this plan: when set (and the profiler
     /// is off), the interpreters execute out of the arena's slab instead
     /// of the allocating environment, falling back transparently when the
-    /// arena is busy or does not match the plan.
+    /// arena does not match the plan or the thread count.
     pub arena: Option<&'p crate::arena::CompiledArena>,
     /// Absolute sequence position of this run's first query column. Zero
     /// for full-sequence forwards; a decode step sets it to the current
@@ -1113,7 +1113,6 @@ pub fn execute_step<R: Rng + ?Sized>(
                     &mut c_tile,
                     p,
                     rng,
-                    false,
                     epi,
                 );
             };

@@ -127,20 +127,20 @@ proptest! {
 
     // Rotating a swept operand's layout moves the kernel's inner loop off
     // the contiguous axis. That is not a safety violation — the certifier
-    // still certifies — but the step loses its license (StridedInnerLoop,
-    // warning severity) and must take the checked fallback.
+    // still certifies — but the step loses its unit-stride verdict
+    // (StridedInnerLoop, warning severity): it runs the strided general path.
     #[test]
     fn strided_inner_loop_demotes_but_does_not_reject(step_pick in 0usize..64) {
         let (g, sound) = fused();
         let baseline = certify_access(&g, &sound).expect("the canned plan certifies");
-        // pick a licensed step whose first input, once rotated, genuinely
+        // pick a unit-stride step whose first input, once rotated, genuinely
         // sweeps with a non-unit inner stride (a singleton axis moved to
         // the innermost slot would leave the walk contiguous)
         let n = sound.steps.len();
         let mut found = None;
         for off in 0..n {
             let si = (step_pick + off) % n;
-            if !baseline.licensed(si) {
+            if !baseline.steps[si].unit_stride {
                 continue;
             }
             let s = &sound.steps[si];
@@ -167,8 +167,8 @@ proptest! {
         let cert = certify_access(&g, &plan)
             .expect("a strided loop is a demotion, not a rejection");
         prop_assert!(
-            !cert.licensed(si),
-            "step {si} must lose its license after the layout rotation"
+            !cert.steps[si].unit_stride,
+            "step {si} must lose its unit-stride verdict after the layout rotation"
         );
         prop_assert!(
             cert.lints.iter().any(|l| matches!(

@@ -13,6 +13,18 @@
 //! with dropout disabled the results are **bitwise identical** to the
 //! tensor-returning path — the property the arena equivalence tests pin.
 //!
+//! Each lane kernel ([`softmax_scaled_into`], [`softmax_causal_into`],
+//! [`sm_into`], [`layernorm_into`], [`bdrln_into`]) is one kernel with two
+//! private loops: a strided general loop for any [`LaneGeom`], and a
+//! unit-stride fast path the kernel picks from its own geometry when
+//! `lane.post == 1`. There every lane is one contiguous chunk, walked with
+//! `chunks_exact`/`zip` so the optimizer sees each length and drops the
+//! per-element bounds checks. Both loops obey one bitwise rule: the same
+//! operation order per element and the same RNG draw order, so which loop
+//! runs never changes a bit of any output, saved mask or RNG end state.
+//! The bias-map kernels ([`bias_add_into`], [`brd_act_into`],
+//! [`bdr_into`]) zip their dense operands; only the bias gather indexes.
+//!
 //! All geometry (lane decompositions, bias broadcast maps, einsum pack
 //! descriptors) is precomputed by the caller; the kernels only walk flat
 //! offsets. Helpers:
@@ -43,6 +55,7 @@ use crate::tensor::Tensor;
 /// Lanes are visited `pre`-major / `post`-minor — exactly the order
 /// `for_each_outer` visits them on a row-major tensor — so per-lane
 /// statistics land in the same order as the allocating kernels push them.
+/// `len` is at least 1, as every axis of a [`Shape`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneGeom {
     /// Product of the axis sizes before the swept axis.
@@ -73,6 +86,28 @@ impl LaneGeom {
     /// Total number of elements.
     pub fn elements(self) -> usize {
         self.pre * self.len * self.post
+    }
+}
+
+/// The lanes of a unit-stride (`post == 1`) buffer, one contiguous chunk
+/// each. Panics if `buf` is shorter than the geometry.
+fn rows(buf: &[f32], lane: LaneGeom) -> std::slice::ChunksExact<'_, f32> {
+    buf[..lane.elements()].chunks_exact(lane.len)
+}
+
+/// Mutable counterpart of [`rows`].
+fn rows_mut(buf: &mut [f32], lane: LaneGeom) -> std::slice::ChunksExactMut<'_, f32> {
+    buf[..lane.elements()].chunks_exact_mut(lane.len)
+}
+
+/// Dropout mask value for one element: `0` with probability `p`,
+/// `1/(1-p)` otherwise. Draws from `rng` only when `p > 0`.
+#[inline]
+fn drop_mask<R: Rng + ?Sized>(p: f32, keep_scale: f32, rng: &mut R) -> f32 {
+    if p > 0.0 && rng.gen::<f32>() < p {
+        0.0
+    } else {
+        keep_scale
     }
 }
 
@@ -433,11 +468,8 @@ impl TileEpilogue<'_> {
 
 /// Applies the epilogue to one GEMM row block. `row0` is the global row
 /// index (over `batch · m`), `rows` the block height, `n` the row width;
-/// `tile` holds the block's contraction output. Checked and licensed
-/// paths are bitwise identical; every slice handed to the unchecked twins
-/// is cut to its exact extent here, which discharges their safety
-/// obligations locally (the plan-level access certificate additionally
-/// proves the *container* bounds these cuts come from).
+/// `tile` holds the block's contraction output. Every output slice is cut
+/// to the block's exact extent, so the softmax lanes are unit-stride rows.
 #[allow(clippy::too_many_arguments)]
 fn epilogue_tile<R: Rng + ?Sized>(
     epi: &mut TileEpilogue<'_>,
@@ -447,7 +479,6 @@ fn epilogue_tile<R: Rng + ?Sized>(
     tile: &[f32],
     p: f32,
     rng: &mut R,
-    licensed: bool,
 ) {
     let span = row0 * n..row0 * n + rows * n;
     match epi {
@@ -468,13 +499,7 @@ fn epilogue_tile<R: Rng + ?Sized>(
                 &mut alpha[span.clone()],
                 &mut mask[span],
             );
-            if licensed {
-                // SAFETY: post == 1 and all four slices hold exactly
-                // `lane.elements()` = rows·n words, cut just above.
-                unsafe { sm_into_unchecked(tile, *scaler, lane, *causal, p, rng, sm, al, mk) };
-            } else {
-                sm_into(tile, *scaler, lane, *causal, p, rng, sm, al, mk);
-            }
+            sm_into(tile, *scaler, lane, *causal, p, rng, sm, al, mk);
         }
         TileEpilogue::BiasActDrop {
             bias,
@@ -491,14 +516,7 @@ fn epilogue_tile<R: Rng + ?Sized>(
                 &mut out[span.clone()],
                 &mut mask[span],
             );
-            if licensed {
-                // SAFETY: slices are exactly rows·n words and the map
-                // shape checked above gives `bmap.offset(f) = (f/n) % m
-                // = f/n < rows = bias.len()` for every `f < rows·n`.
-                unsafe { brd_act_into_unchecked(tile, bias, bmap, *kind, p, rng, pre, o, mk) };
-            } else {
-                brd_act_into(tile, bias, bmap, *kind, p, rng, pre, o, mk);
-            }
+            brd_act_into(tile, bias, bmap, *kind, p, rng, pre, o, mk);
         }
         TileEpilogue::BiasDropResidual {
             bias,
@@ -511,21 +529,15 @@ fn epilogue_tile<R: Rng + ?Sized>(
             let bias = &bias[row0..row0 + rows];
             let res = &residual[span.clone()];
             let (mk, o) = (&mut mask[span.clone()], &mut out[span]);
-            if licensed {
-                // SAFETY: as BiasActDrop, plus the residual cut to the
-                // same exact extent.
-                unsafe { bdr_into_unchecked(tile, bias, bmap, res, p, rng, mk, o) };
-            } else {
-                bdr_into(tile, bias, bmap, res, p, rng, mk, o);
-            }
+            bdr_into(tile, bias, bmap, res, p, rng, mk, o);
         }
     }
 }
 
 /// Asserts the caller-built epilogue bias map has the `[(n, m, 1)]` shape
 /// with `m >= rows`, which makes the modulo a no-op on tile-local offsets:
-/// `offset(f) = (f/n) % m = f/n < rows` for all `f < rows·n` — the bound
-/// the unchecked twins' bias indexing relies on.
+/// `offset(f) = (f/n) % m = f/n < rows` for all `f < rows·n`, so each
+/// element reads the bias of its own row from the slice cut to the tile.
 fn check_tile_bmap(bmap: &BiasMap, n: usize, rows: usize) {
     assert!(
         bmap.dims.len() == 1
@@ -563,7 +575,6 @@ pub fn contract_epilogue_tiled<R: Rng + ?Sized>(
     c_tile: &mut [f32],
     p: f32,
     rng: &mut R,
-    licensed: bool,
     epi: &mut TileEpilogue<'_>,
 ) {
     let (m, n, k) = (plan.m, plan.n, plan.k);
@@ -593,7 +604,7 @@ pub fn contract_epilogue_tiled<R: Rng + ?Sized>(
                 &b_pack[g * k * n..(g + 1) * k * n],
                 c_tile,
             );
-            epilogue_tile(epi, g * m + r0, rows, n, c_tile, p, rng, licensed);
+            epilogue_tile(epi, g * m + r0, rows, n, c_tile, p, rng);
             r0 += rows;
         }
     }
@@ -690,6 +701,33 @@ pub fn dropout_disabled_into(x: &[f32], out: &mut [f32], mask: &mut [f32]) {
 /// scale-then-softmax pair in one sweep, numerically identical to scaling
 /// into a temporary first (a single f32 multiply either way).
 pub fn softmax_scaled_into(x: &[f32], scaler: f32, lane: LaneGeom, out: &mut [f32]) {
+    if lane.post == 1 {
+        softmax_scaled_rows(x, scaler, lane, out);
+    } else {
+        softmax_scaled_strided(x, scaler, lane, out);
+    }
+}
+
+fn softmax_scaled_rows(x: &[f32], scaler: f32, lane: LaneGeom, out: &mut [f32]) {
+    for (xl, ol) in rows(x, lane).zip(rows_mut(out, lane)) {
+        let mut mx = f32::NEG_INFINITY;
+        for &v in xl {
+            mx = mx.max(scaler * v);
+        }
+        let mut sum = 0.0f32;
+        for (o, &v) in ol.iter_mut().zip(xl) {
+            let e = (scaler * v - mx).exp();
+            *o = e;
+            sum += e;
+        }
+        let inv = 1.0 / sum;
+        for o in ol {
+            *o *= inv;
+        }
+    }
+}
+
+fn softmax_scaled_strided(x: &[f32], scaler: f32, lane: LaneGeom, out: &mut [f32]) {
     let (len, stride) = (lane.len, lane.post);
     for pre in 0..lane.pre {
         for post in 0..lane.post {
@@ -712,6 +750,15 @@ pub fn softmax_scaled_into(x: &[f32], scaler: f32, lane: LaneGeom, out: &mut [f3
     }
 }
 
+/// Number of key positions lane `pre` sees: all of them, or under a
+/// causal mask those up to and including its query index.
+fn visible(causal: Option<CausalMap>, pre: usize, len: usize) -> usize {
+    match causal {
+        Some(c) => (c.query(pre) + 1).min(len),
+        None => len,
+    }
+}
+
 /// Fused SM: `alpha = dropout(softmax(scaler · x))` along the lane axis,
 /// with the pre-dropout softmax and the mask saved. `causal` masks key
 /// positions beyond the lane's query index (the decoder variant); masked
@@ -729,21 +776,84 @@ pub fn sm_into<R: Rng + ?Sized>(
     alpha: &mut [f32],
     mask: &mut [f32],
 ) {
+    if lane.post == 1 {
+        sm_rows(x, scaler, lane, causal, p, rng, softmax, alpha, mask);
+    } else {
+        sm_strided(x, scaler, lane, causal, p, rng, softmax, alpha, mask);
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn sm_rows<R: Rng + ?Sized>(
+    x: &[f32],
+    scaler: f32,
+    lane: LaneGeom,
+    causal: Option<CausalMap>,
+    p: f32,
+    rng: &mut R,
+    softmax: &mut [f32],
+    alpha: &mut [f32],
+    mask: &mut [f32],
+) {
+    let keep_scale = 1.0 / (1.0 - p);
+    let lanes = rows(x, lane)
+        .zip(rows_mut(softmax, lane))
+        .zip(rows_mut(alpha, lane).zip(rows_mut(mask, lane)));
+    for (pre, ((xl, sl), (al, ml))) in lanes.enumerate() {
+        let vis = visible(causal, pre, lane.len);
+        let xl = &xl[..vis];
+        let mut mx = f32::NEG_INFINITY;
+        for &v in xl {
+            mx = mx.max(scaler * v);
+        }
+        let mut sum = 0.0f32;
+        for (s, &v) in sl.iter_mut().zip(xl) {
+            let e = (scaler * v - mx).exp();
+            *s = e;
+            sum += e;
+        }
+        let inv = 1.0 / sum;
+        let (sv, st) = sl.split_at_mut(vis);
+        let (av, at) = al.split_at_mut(vis);
+        let (mv, mt) = ml.split_at_mut(vis);
+        for ((s, a), m) in sv.iter_mut().zip(av).zip(mv) {
+            let y = *s * inv;
+            *s = y;
+            *m = drop_mask(p, keep_scale, rng);
+            *a = y * *m;
+        }
+        for ((s, a), m) in st.iter_mut().zip(at).zip(mt) {
+            *s = 0.0;
+            *m = 0.0;
+            *a = 0.0;
+        }
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn sm_strided<R: Rng + ?Sized>(
+    x: &[f32],
+    scaler: f32,
+    lane: LaneGeom,
+    causal: Option<CausalMap>,
+    p: f32,
+    rng: &mut R,
+    softmax: &mut [f32],
+    alpha: &mut [f32],
+    mask: &mut [f32],
+) {
     let keep_scale = 1.0 / (1.0 - p);
     let (len, stride) = (lane.len, lane.post);
     for pre in 0..lane.pre {
         for post in 0..lane.post {
             let base = pre * len * stride + post;
-            let visible = match causal {
-                Some(c) => (c.query(pre) + 1).min(len),
-                None => len,
-            };
+            let vis = visible(causal, pre, len);
             let mut mx = f32::NEG_INFINITY;
-            for v in 0..visible {
+            for v in 0..vis {
                 mx = mx.max(scaler * x[base + v * stride]);
             }
             let mut sum = 0.0f32;
-            for v in 0..visible {
+            for v in 0..vis {
                 let e = (scaler * x[base + v * stride] - mx).exp();
                 softmax[base + v * stride] = e;
                 sum += e;
@@ -751,14 +861,10 @@ pub fn sm_into<R: Rng + ?Sized>(
             let inv = 1.0 / sum;
             for v in 0..len {
                 let off = base + v * stride;
-                if v < visible {
+                if v < vis {
                     let y = softmax[off] * inv;
                     softmax[off] = y;
-                    let m = if p > 0.0 && rng.gen::<f32>() < p {
-                        0.0
-                    } else {
-                        keep_scale
-                    };
+                    let m = drop_mask(p, keep_scale, rng);
                     mask[off] = m;
                     alpha[off] = y * m;
                 } else {
@@ -781,17 +887,54 @@ pub fn softmax_causal_into(
     causal: CausalMap,
     out: &mut [f32],
 ) {
+    if lane.post == 1 {
+        softmax_causal_rows(x, scaler, lane, causal, out);
+    } else {
+        softmax_causal_strided(x, scaler, lane, causal, out);
+    }
+}
+
+fn softmax_causal_rows(x: &[f32], scaler: f32, lane: LaneGeom, causal: CausalMap, out: &mut [f32]) {
+    for (pre, (xl, ol)) in rows(x, lane).zip(rows_mut(out, lane)).enumerate() {
+        let vis = visible(Some(causal), pre, lane.len);
+        let xl = &xl[..vis];
+        let (ov, ot) = ol.split_at_mut(vis);
+        let mut mx = f32::NEG_INFINITY;
+        for &v in xl {
+            mx = mx.max(scaler * v);
+        }
+        let mut sum = 0.0f32;
+        for (o, &v) in ov.iter_mut().zip(xl) {
+            let e = (scaler * v - mx).exp();
+            *o = e;
+            sum += e;
+        }
+        let inv = 1.0 / sum;
+        for o in ov {
+            *o *= inv;
+        }
+        ot.fill(0.0);
+    }
+}
+
+fn softmax_causal_strided(
+    x: &[f32],
+    scaler: f32,
+    lane: LaneGeom,
+    causal: CausalMap,
+    out: &mut [f32],
+) {
     let (len, stride) = (lane.len, lane.post);
     for pre in 0..lane.pre {
         for post in 0..lane.post {
             let base = pre * len * stride + post;
-            let visible = (causal.query(pre) + 1).min(len);
+            let vis = visible(Some(causal), pre, len);
             let mut mx = f32::NEG_INFINITY;
-            for v in 0..visible {
+            for v in 0..vis {
                 mx = mx.max(scaler * x[base + v * stride]);
             }
             let mut sum = 0.0f32;
-            for v in 0..visible {
+            for v in 0..vis {
                 let e = (scaler * x[base + v * stride] - mx).exp();
                 out[base + v * stride] = e;
                 sum += e;
@@ -799,7 +942,7 @@ pub fn softmax_causal_into(
             let inv = 1.0 / sum;
             for v in 0..len {
                 let off = base + v * stride;
-                if v < visible {
+                if v < vis {
                     out[off] *= inv;
                 } else {
                     out[off] = 0.0;
@@ -809,12 +952,65 @@ pub fn softmax_causal_into(
     }
 }
 
+/// `(mean, inv_std)` of one lane from its running sum and sum of squares.
+fn lane_stats(sum: f32, sq: f32, len: usize) -> (f32, f32) {
+    let mean = sum / len as f32;
+    let var = (sq / len as f32 - mean * mean).max(0.0);
+    (mean, 1.0 / (var + EPS).sqrt())
+}
+
 /// Layer normalization along the lane axis with learned `gamma`/`beta`
 /// (dense 1-D, indexed by the lane position). Per-lane `mean`/`inv_std`
 /// are written in lane order, matching the allocating kernel's stats
 /// vectors.
 #[allow(clippy::too_many_arguments)]
 pub fn layernorm_into(
+    x: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    lane: LaneGeom,
+    out: &mut [f32],
+    mean_out: &mut [f32],
+    inv_std_out: &mut [f32],
+) {
+    if lane.post == 1 {
+        layernorm_rows(x, gamma, beta, lane, out, mean_out, inv_std_out);
+    } else {
+        layernorm_strided(x, gamma, beta, lane, out, mean_out, inv_std_out);
+    }
+}
+
+fn layernorm_rows(
+    x: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    lane: LaneGeom,
+    out: &mut [f32],
+    mean_out: &mut [f32],
+    inv_std_out: &mut [f32],
+) {
+    let (gamma, beta) = (&gamma[..lane.len], &beta[..lane.len]);
+    let stats = mean_out[..lane.pre]
+        .iter_mut()
+        .zip(&mut inv_std_out[..lane.pre]);
+    for ((xl, ol), (mu, is)) in rows(x, lane).zip(rows_mut(out, lane)).zip(stats) {
+        let mut sum = 0.0f32;
+        let mut sq = 0.0f32;
+        for &val in xl {
+            sum += val;
+            sq += val * val;
+        }
+        let (mean, inv_std) = lane_stats(sum, sq, lane.len);
+        *mu = mean;
+        *is = inv_std;
+        for (((o, &val), &g), &b) in ol.iter_mut().zip(xl).zip(gamma).zip(beta) {
+            let xhat = (val - mean) * inv_std;
+            *o = xhat * g + b;
+        }
+    }
+}
+
+fn layernorm_strided(
     x: &[f32],
     gamma: &[f32],
     beta: &[f32],
@@ -835,9 +1031,7 @@ pub fn layernorm_into(
                 sum += val;
                 sq += val * val;
             }
-            let mean = sum / len as f32;
-            let var = (sq / len as f32 - mean * mean).max(0.0);
-            let inv_std = 1.0 / (var + EPS).sqrt();
+            let (mean, inv_std) = lane_stats(sum, sq, len);
             mean_out[l] = mean;
             inv_std_out[l] = inv_std;
             for v in 0..len {
@@ -867,6 +1061,110 @@ pub fn bdrln_into<R: Rng + ?Sized>(
     mean_out: &mut [f32],
     inv_std_out: &mut [f32],
 ) {
+    if lane.post == 1 {
+        bdrln_rows(
+            x,
+            bias,
+            bmap,
+            residual,
+            gamma,
+            beta,
+            lane,
+            p,
+            rng,
+            mask,
+            ln_input,
+            out,
+            mean_out,
+            inv_std_out,
+        );
+    } else {
+        bdrln_strided(
+            x,
+            bias,
+            bmap,
+            residual,
+            gamma,
+            beta,
+            lane,
+            p,
+            rng,
+            mask,
+            ln_input,
+            out,
+            mean_out,
+            inv_std_out,
+        );
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn bdrln_rows<R: Rng + ?Sized>(
+    x: &[f32],
+    bias: &[f32],
+    bmap: &BiasMap,
+    residual: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    lane: LaneGeom,
+    p: f32,
+    rng: &mut R,
+    mask: &mut [f32],
+    ln_input: &mut [f32],
+    out: &mut [f32],
+    mean_out: &mut [f32],
+    inv_std_out: &mut [f32],
+) {
+    let keep_scale = 1.0 / (1.0 - p);
+    let (gamma, beta) = (&gamma[..lane.len], &beta[..lane.len]);
+    let lanes = rows(x, lane)
+        .zip(rows(residual, lane))
+        .zip(rows_mut(mask, lane).zip(rows_mut(ln_input, lane)))
+        .zip(rows_mut(out, lane))
+        .zip(
+            mean_out[..lane.pre]
+                .iter_mut()
+                .zip(&mut inv_std_out[..lane.pre]),
+        );
+    for (pre, ((((xl, rl), (ml, ll)), ol), (mu, is))) in lanes.enumerate() {
+        let base = pre * lane.len;
+        let mut sum = 0.0f32;
+        let mut sq = 0.0f32;
+        let elems = xl.iter().zip(rl).zip(ml.iter_mut().zip(ll.iter_mut()));
+        for (v, ((&xv, &r), (m, li))) in elems.enumerate() {
+            let z = xv + bias[bmap.offset(base + v)];
+            *m = drop_mask(p, keep_scale, rng);
+            *li = z * *m + r;
+            sum += *li;
+            sq += *li * *li;
+        }
+        let (mean, inv_std) = lane_stats(sum, sq, lane.len);
+        *mu = mean;
+        *is = inv_std;
+        for (((o, &val), &g), &b) in ol.iter_mut().zip(&*ll).zip(gamma).zip(beta) {
+            let xhat = (val - mean) * inv_std;
+            *o = xhat * g + b;
+        }
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn bdrln_strided<R: Rng + ?Sized>(
+    x: &[f32],
+    bias: &[f32],
+    bmap: &BiasMap,
+    residual: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    lane: LaneGeom,
+    p: f32,
+    rng: &mut R,
+    mask: &mut [f32],
+    ln_input: &mut [f32],
+    out: &mut [f32],
+    mean_out: &mut [f32],
+    inv_std_out: &mut [f32],
+) {
     let keep_scale = 1.0 / (1.0 - p);
     let (len, stride) = (lane.len, lane.post);
     for pre in 0..lane.pre {
@@ -878,20 +1176,14 @@ pub fn bdrln_into<R: Rng + ?Sized>(
             for v in 0..len {
                 let off = base + v * stride;
                 let z = x[off] + bias[bmap.offset(off)];
-                let m = if p > 0.0 && rng.gen::<f32>() < p {
-                    0.0
-                } else {
-                    keep_scale
-                };
+                let m = drop_mask(p, keep_scale, rng);
                 let li = z * m + residual[off];
                 mask[off] = m;
                 ln_input[off] = li;
                 sum += li;
                 sq += li * li;
             }
-            let mean = sum / len as f32;
-            let var = (sq / len as f32 - mean * mean).max(0.0);
-            let inv_std = 1.0 / (var + EPS).sqrt();
+            let (mean, inv_std) = lane_stats(sum, sq, len);
             mean_out[l] = mean;
             inv_std_out[l] = inv_std;
             for v in 0..len {
@@ -918,17 +1210,15 @@ pub fn brd_act_into<R: Rng + ?Sized>(
     mask: &mut [f32],
 ) {
     let keep_scale = 1.0 / (1.0 - p);
-    for (f, &v) in x.iter().enumerate() {
-        let z = v + bias[bmap.offset(f)];
-        let r = kind.apply(z);
-        let m = if p > 0.0 && rng.gen::<f32>() < p {
-            0.0
-        } else {
-            keep_scale
-        };
-        pre_activation[f] = z;
-        mask[f] = m;
-        out[f] = r * m;
+    let n = x.len();
+    let outs = pre_activation[..n]
+        .iter_mut()
+        .zip(&mut out[..n])
+        .zip(&mut mask[..n]);
+    for (f, (&v, ((z, o), m))) in x.iter().zip(outs).enumerate() {
+        *z = v + bias[bmap.offset(f)];
+        *m = drop_mask(p, keep_scale, rng);
+        *o = kind.apply(*z) * *m;
     }
 }
 
@@ -946,451 +1236,23 @@ pub fn bdr_into<R: Rng + ?Sized>(
     mask: &mut [f32],
     out: &mut [f32],
 ) {
+    let n = x.len();
+    let elems = x
+        .iter()
+        .zip(&residual[..n])
+        .zip(mask[..n].iter_mut().zip(&mut out[..n]))
+        .enumerate();
     if p > 0.0 {
         let keep_scale = 1.0 / (1.0 - p);
-        for (f, &v) in x.iter().enumerate() {
-            let m = if rng.gen::<f32>() < p {
-                0.0
-            } else {
-                keep_scale
-            };
-            mask[f] = m;
-            out[f] = (v + bias[bmap.offset(f)]) * m + residual[f];
+        for (f, ((&v, &r), (m, o))) in elems {
+            *m = drop_mask(p, keep_scale, rng);
+            *o = (v + bias[bmap.offset(f)]) * *m + r;
         }
     } else {
-        for (f, &v) in x.iter().enumerate() {
-            mask[f] = 1.0;
-            out[f] = (v + bias[bmap.offset(f)]) + residual[f];
+        for (f, ((&v, &r), (m, o))) in elems {
+            *m = 1.0;
+            *o = (v + bias[bmap.offset(f)]) + r;
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Certificate-licensed unchecked twins.
-//
-// Each kernel above that indexes through precomputed geometry (lane
-// decompositions, bias maps, causal maps) has an `unsafe` twin here with
-// the per-element bounds checks removed (`get_unchecked`, exact-chunk
-// lanes) and the dropout/causal selects made branch-free, so the inner
-// loops autovectorize. The zip-iterator kernels (`scale_into`,
-// `add_into`, `activate_into`, `dropout_into`) already compile without
-// bounds checks and need no twins.
-//
-// Arithmetic is mirrored statement-for-statement from the checked
-// kernels — same operation order, same RNG draw count and order — so the
-// results are bitwise identical (pinned by `tests/unchecked_equivalence`).
-// These functions are dispatched only for steps licensed by an
-// `AccessCertificate` (see `xform_core::access`); every other step takes
-// the checked kernel. The dropout select `((draw >= p) as u32 as f32) *
-// keep_scale` is exact: `1.0 * keep_scale` is an identity and `0.0 *
-// keep_scale` is `+0.0`, matching the checked branches bit for bit.
-// ---------------------------------------------------------------------
-
-/// Draws the dropout mask value branch-free. Must be called only when
-/// `p > 0` (the checked kernels skip the draw entirely at `p == 0`).
-#[inline(always)]
-fn mask_select<R: Rng + ?Sized>(p: f32, keep_scale: f32, rng: &mut R) -> f32 {
-    ((rng.gen::<f32>() >= p) as u32 as f32) * keep_scale
-}
-
-/// [`bias_add_into`] without per-element bounds checks.
-///
-/// # Safety
-///
-/// `x.len() >= out.len()` and `map.offset(f) < bias.len()` for every
-/// `f < out.len()` — proven by the access certificate before dispatch.
-pub unsafe fn bias_add_into_unchecked(x: &[f32], bias: &[f32], map: &BiasMap, out: &mut [f32]) {
-    unsafe {
-        for f in 0..out.len() {
-            *out.get_unchecked_mut(f) = *x.get_unchecked(f) + *bias.get_unchecked(map.offset(f));
-        }
-    }
-}
-
-/// [`softmax_scaled_into`] specialized to unit-stride lanes
-/// (`lane.post == 1`) with exact-chunk iteration and no bounds checks.
-///
-/// # Safety
-///
-/// `lane.post == 1` and `x.len() >= lane.elements()`,
-/// `out.len() >= lane.elements()` — proven by the access certificate
-/// (in-bounds + unit-stride) before dispatch.
-pub unsafe fn softmax_scaled_into_unchecked(
-    x: &[f32],
-    scaler: f32,
-    lane: LaneGeom,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(lane.post, 1);
-    let len = lane.len;
-    unsafe {
-        for pre in 0..lane.pre {
-            let base = pre * len;
-            let xl = x.get_unchecked(base..base + len);
-            let ol = out.get_unchecked_mut(base..base + len);
-            let mut mx = f32::NEG_INFINITY;
-            for &v in xl {
-                mx = mx.max(scaler * v);
-            }
-            let mut sum = 0.0f32;
-            for (o, &v) in ol.iter_mut().zip(xl) {
-                let e = (scaler * v - mx).exp();
-                *o = e;
-                sum += e;
-            }
-            let inv = 1.0 / sum;
-            for o in ol.iter_mut() {
-                *o *= inv;
-            }
-        }
-    }
-}
-
-/// [`softmax_causal_into`] specialized to unit-stride lanes: the visible
-/// prefix is an exact chunk, the masked tail a plain fill — no
-/// per-element `if v < visible` branch.
-///
-/// # Safety
-///
-/// As [`softmax_scaled_into_unchecked`].
-pub unsafe fn softmax_causal_into_unchecked(
-    x: &[f32],
-    scaler: f32,
-    lane: LaneGeom,
-    causal: CausalMap,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(lane.post, 1);
-    let len = lane.len;
-    unsafe {
-        for pre in 0..lane.pre {
-            let base = pre * len;
-            let visible = (causal.query(pre) + 1).min(len);
-            let xl = x.get_unchecked(base..base + visible);
-            let ol = out.get_unchecked_mut(base..base + len);
-            let mut mx = f32::NEG_INFINITY;
-            for &v in xl {
-                mx = mx.max(scaler * v);
-            }
-            let mut sum = 0.0f32;
-            for (o, &v) in ol.get_unchecked_mut(..visible).iter_mut().zip(xl) {
-                let e = (scaler * v - mx).exp();
-                *o = e;
-                sum += e;
-            }
-            let inv = 1.0 / sum;
-            for o in ol.get_unchecked_mut(..visible).iter_mut() {
-                *o *= inv;
-            }
-            for o in ol.get_unchecked_mut(visible..).iter_mut() {
-                *o = 0.0;
-            }
-        }
-    }
-}
-
-/// [`sm_into`] specialized to unit-stride lanes: exact-chunk visible
-/// prefix, select-based dropout, plain-fill masked tail. The RNG draw
-/// count and order match the checked kernel exactly — one draw per
-/// visible element when `p > 0`, none otherwise.
-///
-/// # Safety
-///
-/// `lane.post == 1` and every output slice holds at least
-/// `lane.elements()` words — proven by the access certificate.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn sm_into_unchecked<R: Rng + ?Sized>(
-    x: &[f32],
-    scaler: f32,
-    lane: LaneGeom,
-    causal: Option<CausalMap>,
-    p: f32,
-    rng: &mut R,
-    softmax: &mut [f32],
-    alpha: &mut [f32],
-    mask: &mut [f32],
-) {
-    debug_assert_eq!(lane.post, 1);
-    let keep_scale = 1.0 / (1.0 - p);
-    let len = lane.len;
-    unsafe {
-        for pre in 0..lane.pre {
-            let base = pre * len;
-            let visible = match causal {
-                Some(c) => (c.query(pre) + 1).min(len),
-                None => len,
-            };
-            let xl = x.get_unchecked(base..base + visible);
-            let sl = softmax.get_unchecked_mut(base..base + len);
-            let al = alpha.get_unchecked_mut(base..base + len);
-            let ml = mask.get_unchecked_mut(base..base + len);
-            let mut mx = f32::NEG_INFINITY;
-            for &v in xl {
-                mx = mx.max(scaler * v);
-            }
-            let mut sum = 0.0f32;
-            for (s, &v) in sl.get_unchecked_mut(..visible).iter_mut().zip(xl) {
-                let e = (scaler * v - mx).exp();
-                *s = e;
-                sum += e;
-            }
-            let inv = 1.0 / sum;
-            for v in 0..visible {
-                let y = *sl.get_unchecked(v) * inv;
-                *sl.get_unchecked_mut(v) = y;
-                let m = if p > 0.0 {
-                    mask_select(p, keep_scale, rng)
-                } else {
-                    keep_scale
-                };
-                *ml.get_unchecked_mut(v) = m;
-                *al.get_unchecked_mut(v) = y * m;
-            }
-            for v in visible..len {
-                *sl.get_unchecked_mut(v) = 0.0;
-                *ml.get_unchecked_mut(v) = 0.0;
-                *al.get_unchecked_mut(v) = 0.0;
-            }
-        }
-    }
-}
-
-/// [`layernorm_into`] specialized to unit-stride lanes with exact-chunk
-/// iteration and no bounds checks.
-///
-/// # Safety
-///
-/// `lane.post == 1`, `x.len() >= lane.elements()`,
-/// `out.len() >= lane.elements()`, `gamma.len() >= lane.len`,
-/// `beta.len() >= lane.len`, and both stats slices hold at least
-/// `lane.lanes()` words — proven by the access certificate.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn layernorm_into_unchecked(
-    x: &[f32],
-    gamma: &[f32],
-    beta: &[f32],
-    lane: LaneGeom,
-    out: &mut [f32],
-    mean_out: &mut [f32],
-    inv_std_out: &mut [f32],
-) {
-    debug_assert_eq!(lane.post, 1);
-    let len = lane.len;
-    unsafe {
-        let g = gamma.get_unchecked(..len);
-        let b = beta.get_unchecked(..len);
-        for pre in 0..lane.pre {
-            let base = pre * len;
-            let xl = x.get_unchecked(base..base + len);
-            let ol = out.get_unchecked_mut(base..base + len);
-            let mut sum = 0.0f32;
-            let mut sq = 0.0f32;
-            for &val in xl {
-                sum += val;
-                sq += val * val;
-            }
-            let mean = sum / len as f32;
-            let var = (sq / len as f32 - mean * mean).max(0.0);
-            let inv_std = 1.0 / (var + EPS).sqrt();
-            *mean_out.get_unchecked_mut(pre) = mean;
-            *inv_std_out.get_unchecked_mut(pre) = inv_std;
-            for (v, (o, &val)) in ol.iter_mut().zip(xl).enumerate() {
-                let xhat = (val - mean) * inv_std;
-                *o = xhat * *g.get_unchecked(v) + *b.get_unchecked(v);
-            }
-        }
-    }
-}
-
-/// [`bdrln_into`] specialized to unit-stride lanes with select-based
-/// dropout. RNG draw count and order match the checked kernel (one draw
-/// per element when `p > 0`, none otherwise).
-///
-/// # Safety
-///
-/// As [`layernorm_into_unchecked`], plus `bmap.offset(f) < bias.len()`
-/// and `residual`/`mask`/`ln_input` at least `lane.elements()` words —
-/// proven by the access certificate.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn bdrln_into_unchecked<R: Rng + ?Sized>(
-    x: &[f32],
-    bias: &[f32],
-    bmap: &BiasMap,
-    residual: &[f32],
-    gamma: &[f32],
-    beta: &[f32],
-    lane: LaneGeom,
-    p: f32,
-    rng: &mut R,
-    mask: &mut [f32],
-    ln_input: &mut [f32],
-    out: &mut [f32],
-    mean_out: &mut [f32],
-    inv_std_out: &mut [f32],
-) {
-    debug_assert_eq!(lane.post, 1);
-    let keep_scale = 1.0 / (1.0 - p);
-    let len = lane.len;
-    unsafe {
-        let g = gamma.get_unchecked(..len);
-        let b = beta.get_unchecked(..len);
-        for pre in 0..lane.pre {
-            let base = pre * len;
-            let mut sum = 0.0f32;
-            let mut sq = 0.0f32;
-            for v in 0..len {
-                let off = base + v;
-                let z = *x.get_unchecked(off) + *bias.get_unchecked(bmap.offset(off));
-                let m = if p > 0.0 {
-                    mask_select(p, keep_scale, rng)
-                } else {
-                    keep_scale
-                };
-                let li = z * m + *residual.get_unchecked(off);
-                *mask.get_unchecked_mut(off) = m;
-                *ln_input.get_unchecked_mut(off) = li;
-                sum += li;
-                sq += li * li;
-            }
-            let mean = sum / len as f32;
-            let var = (sq / len as f32 - mean * mean).max(0.0);
-            let inv_std = 1.0 / (var + EPS).sqrt();
-            *mean_out.get_unchecked_mut(pre) = mean;
-            *inv_std_out.get_unchecked_mut(pre) = inv_std;
-            let li = ln_input.get_unchecked(base..base + len);
-            let ol = out.get_unchecked_mut(base..base + len);
-            for (v, (o, &val)) in ol.iter_mut().zip(li).enumerate() {
-                let xhat = (val - mean) * inv_std;
-                *o = xhat * *g.get_unchecked(v) + *b.get_unchecked(v);
-            }
-        }
-    }
-}
-
-/// [`brd_act_into`] without per-element bounds checks and with
-/// select-based dropout.
-///
-/// # Safety
-///
-/// Every output slice holds at least `x.len()` words and
-/// `bmap.offset(f) < bias.len()` for every `f < x.len()` — proven by the
-/// access certificate.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn brd_act_into_unchecked<R: Rng + ?Sized>(
-    x: &[f32],
-    bias: &[f32],
-    bmap: &BiasMap,
-    kind: ActivationKind,
-    p: f32,
-    rng: &mut R,
-    pre_activation: &mut [f32],
-    out: &mut [f32],
-    mask: &mut [f32],
-) {
-    let keep_scale = 1.0 / (1.0 - p);
-    unsafe {
-        for (f, &v) in x.iter().enumerate() {
-            let z = v + *bias.get_unchecked(bmap.offset(f));
-            let r = kind.apply(z);
-            let m = if p > 0.0 {
-                mask_select(p, keep_scale, rng)
-            } else {
-                keep_scale
-            };
-            *pre_activation.get_unchecked_mut(f) = z;
-            *mask.get_unchecked_mut(f) = m;
-            *out.get_unchecked_mut(f) = r * m;
-        }
-    }
-}
-
-/// [`bdr_into`] without per-element bounds checks and with select-based
-/// dropout. The `p == 0` arm mirrors the checked kernel's identity
-/// dropout exactly (no mask multiply, no draws).
-///
-/// # Safety
-///
-/// As [`brd_act_into_unchecked`], plus `residual.len() >= x.len()`.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn bdr_into_unchecked<R: Rng + ?Sized>(
-    x: &[f32],
-    bias: &[f32],
-    bmap: &BiasMap,
-    residual: &[f32],
-    p: f32,
-    rng: &mut R,
-    mask: &mut [f32],
-    out: &mut [f32],
-) {
-    unsafe {
-        if p > 0.0 {
-            let keep_scale = 1.0 / (1.0 - p);
-            for (f, &v) in x.iter().enumerate() {
-                let m = mask_select(p, keep_scale, rng);
-                *mask.get_unchecked_mut(f) = m;
-                *out.get_unchecked_mut(f) =
-                    (v + *bias.get_unchecked(bmap.offset(f))) * m + *residual.get_unchecked(f);
-            }
-        } else {
-            for (f, &v) in x.iter().enumerate() {
-                *mask.get_unchecked_mut(f) = 1.0;
-                *out.get_unchecked_mut(f) =
-                    (v + *bias.get_unchecked(bmap.offset(f))) + *residual.get_unchecked(f);
-            }
-        }
-    }
-}
-
-/// Locally-certified dispatcher for [`softmax_scaled_into_unchecked`]:
-/// runs the unchecked twin when the lane geometry discharges its safety
-/// obligations right here (`post == 1`, buffers at least
-/// `lane.elements()` words), the checked kernel otherwise. Returns `true`
-/// when the licensed path ran — callers without a plan-level access
-/// certificate (e.g. benchmarks) use this to exercise the unchecked
-/// loops from safe code.
-pub fn softmax_scaled_into_dispatch(
-    x: &[f32],
-    scaler: f32,
-    lane: LaneGeom,
-    out: &mut [f32],
-) -> bool {
-    if lane.post == 1 && x.len() >= lane.elements() && out.len() >= lane.elements() {
-        // SAFETY: every obligation of the twin was checked just above.
-        unsafe { softmax_scaled_into_unchecked(x, scaler, lane, out) };
-        true
-    } else {
-        softmax_scaled_into(x, scaler, lane, out);
-        false
-    }
-}
-
-/// Locally-certified dispatcher for [`layernorm_into_unchecked`]; see
-/// [`softmax_scaled_into_dispatch`]. Returns `true` when the licensed
-/// path ran.
-#[allow(clippy::too_many_arguments)]
-pub fn layernorm_into_dispatch(
-    x: &[f32],
-    gamma: &[f32],
-    beta: &[f32],
-    lane: LaneGeom,
-    out: &mut [f32],
-    mean_out: &mut [f32],
-    inv_std_out: &mut [f32],
-) -> bool {
-    if lane.post == 1
-        && x.len() >= lane.elements()
-        && out.len() >= lane.elements()
-        && gamma.len() >= lane.len
-        && beta.len() >= lane.len
-        && mean_out.len() >= lane.lanes()
-        && inv_std_out.len() >= lane.lanes()
-    {
-        // SAFETY: every obligation of the twin was checked just above.
-        unsafe { layernorm_into_unchecked(x, gamma, beta, lane, out, mean_out, inv_std_out) };
-        true
-    } else {
-        layernorm_into(x, gamma, beta, lane, out, mean_out, inv_std_out);
-        false
     }
 }
 
@@ -1404,6 +1266,7 @@ mod tests {
     use crate::ops::elementwise::{bias_add, scale};
     use crate::ops::layernorm::layernorm;
     use crate::ops::softmax::softmax;
+    use proptest::prelude::*;
     use rand::distributions::Uniform;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
@@ -1789,39 +1652,35 @@ mod tests {
             &mut mk_a,
         );
 
-        for licensed in [false, true] {
-            let mut rng_b = StdRng::seed_from_u64(9);
-            let (mut sm_b, mut al_b, mut mk_b) =
-                (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
-            let mut ap = vec![0.0; ep.plan.a_words()];
-            let mut bp = vec![0.0; ep.plan.b_words()];
-            let mut ct = vec![0.0; ep.plan.m * ep.plan.n];
-            let mut epi = TileEpilogue::Softmax {
-                scaler,
-                causal,
-                softmax: &mut sm_b,
-                alpha: &mut al_b,
-                mask: &mut mk_b,
-            };
-            // swapped: the query operand feeds the A pack
-            contract_epilogue_tiled(
-                &ep.plan,
-                ep.plan.m,
-                qq.data(),
-                kk.data(),
-                &mut ap,
-                &mut bp,
-                &mut ct,
-                p,
-                &mut rng_b,
-                licensed,
-                &mut epi,
-            );
-            assert_bits("softmax", &sm_a, &sm_b);
-            assert_bits("alpha", &al_a, &al_b);
-            assert_bits("mask", &mk_a, &mk_b);
-            assert_same_rng_state(&mut rng_a.clone(), &mut rng_b, &format!("sm {licensed}"));
-        }
+        let mut rng_b = StdRng::seed_from_u64(9);
+        let (mut sm_b, mut al_b, mut mk_b) = (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
+        let mut ap = vec![0.0; ep.plan.a_words()];
+        let mut bp = vec![0.0; ep.plan.b_words()];
+        let mut ct = vec![0.0; ep.plan.m * ep.plan.n];
+        let mut epi = TileEpilogue::Softmax {
+            scaler,
+            causal,
+            softmax: &mut sm_b,
+            alpha: &mut al_b,
+            mask: &mut mk_b,
+        };
+        // swapped: the query operand feeds the A pack
+        contract_epilogue_tiled(
+            &ep.plan,
+            ep.plan.m,
+            qq.data(),
+            kk.data(),
+            &mut ap,
+            &mut bp,
+            &mut ct,
+            p,
+            &mut rng_b,
+            &mut epi,
+        );
+        assert_bits("softmax", &sm_a, &sm_b);
+        assert_bits("alpha", &al_a, &al_b);
+        assert_bits("mask", &mk_a, &mk_b);
+        assert_same_rng_state(&mut rng_a, &mut rng_b, "sm");
     }
 
     /// Row-tiled bias epilogues (BRD / BDR shape: batch-free, bias on M)
@@ -1883,65 +1742,61 @@ mod tests {
         );
 
         for tile_rows in [1usize, 2, 4, 6] {
-            for licensed in [false, true] {
-                let mut ap = vec![0.0; ep.plan.a_words()];
-                let mut bp = vec![0.0; ep.plan.b_words()];
-                let mut ct = vec![0.0; tile_rows * n];
-                let mut rng_b = StdRng::seed_from_u64(11);
-                let (mut pre_b, mut out_b, mut mk_b) =
-                    (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
-                let mut epi = TileEpilogue::BiasActDrop {
-                    bias: bias.data(),
-                    bmap: &bmap,
-                    kind: ActivationKind::Gelu,
-                    pre_activation: &mut pre_b,
-                    out: &mut out_b,
-                    mask: &mut mk_b,
-                };
-                contract_epilogue_tiled(
-                    &ep.plan,
-                    tile_rows,
-                    w.data(),
-                    x.data(),
-                    &mut ap,
-                    &mut bp,
-                    &mut ct,
-                    p,
-                    &mut rng_b,
-                    licensed,
-                    &mut epi,
-                );
-                assert_bits("pre_activation", &pre_a, &pre_b);
-                assert_bits("brd out", &out_a, &out_b);
-                assert_bits("brd mask", &mk_a, &mk_b);
-                assert_same_rng_state(&mut rng_a.clone(), &mut rng_b, "brd");
+            let mut ap = vec![0.0; ep.plan.a_words()];
+            let mut bp = vec![0.0; ep.plan.b_words()];
+            let mut ct = vec![0.0; tile_rows * n];
+            let mut rng_b = StdRng::seed_from_u64(11);
+            let (mut pre_b, mut out_b, mut mk_b) =
+                (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
+            let mut epi = TileEpilogue::BiasActDrop {
+                bias: bias.data(),
+                bmap: &bmap,
+                kind: ActivationKind::Gelu,
+                pre_activation: &mut pre_b,
+                out: &mut out_b,
+                mask: &mut mk_b,
+            };
+            contract_epilogue_tiled(
+                &ep.plan,
+                tile_rows,
+                w.data(),
+                x.data(),
+                &mut ap,
+                &mut bp,
+                &mut ct,
+                p,
+                &mut rng_b,
+                &mut epi,
+            );
+            assert_bits("pre_activation", &pre_a, &pre_b);
+            assert_bits("brd out", &out_a, &out_b);
+            assert_bits("brd mask", &mk_a, &mk_b);
+            assert_same_rng_state(&mut rng_a.clone(), &mut rng_b, "brd");
 
-                let mut rng_br = StdRng::seed_from_u64(13);
-                let (mut mkr_b, mut outr_b) = (vec![0.0; total], vec![0.0; total]);
-                let mut epi = TileEpilogue::BiasDropResidual {
-                    bias: bias.data(),
-                    bmap: &bmap,
-                    residual: residual.data(),
-                    mask: &mut mkr_b,
-                    out: &mut outr_b,
-                };
-                contract_epilogue_tiled(
-                    &ep.plan,
-                    tile_rows,
-                    w.data(),
-                    x.data(),
-                    &mut ap,
-                    &mut bp,
-                    &mut ct,
-                    p,
-                    &mut rng_br,
-                    licensed,
-                    &mut epi,
-                );
-                assert_bits("bdr mask", &mkr_a, &mkr_b);
-                assert_bits("bdr out", &outr_a, &outr_b);
-                assert_same_rng_state(&mut rng_ar.clone(), &mut rng_br, "bdr");
-            }
+            let mut rng_br = StdRng::seed_from_u64(13);
+            let (mut mkr_b, mut outr_b) = (vec![0.0; total], vec![0.0; total]);
+            let mut epi = TileEpilogue::BiasDropResidual {
+                bias: bias.data(),
+                bmap: &bmap,
+                residual: residual.data(),
+                mask: &mut mkr_b,
+                out: &mut outr_b,
+            };
+            contract_epilogue_tiled(
+                &ep.plan,
+                tile_rows,
+                w.data(),
+                x.data(),
+                &mut ap,
+                &mut bp,
+                &mut ct,
+                p,
+                &mut rng_br,
+                &mut epi,
+            );
+            assert_bits("bdr mask", &mkr_a, &mkr_b);
+            assert_bits("bdr out", &outr_a, &outr_b);
+            assert_same_rng_state(&mut rng_ar.clone(), &mut rng_br, "bdr");
         }
     }
 
@@ -1963,198 +1818,79 @@ mod tests {
         }
     }
 
-    /// Every unchecked twin against its checked original, bitwise, at
-    /// dims small enough for Miri — this is the test CI interprets under
-    /// `cargo miri test` to prove the `get_unchecked` paths UB-free.
-    /// Broad randomized coverage lives in `tests/unchecked_equivalence`.
-    #[test]
-    fn unchecked_twins_match_checked_bitwise() {
-        let lane = LaneGeom {
-            pre: 3,
-            len: 4,
-            post: 1,
-        };
-        let n = lane.elements();
-        let mut rng = StdRng::seed_from_u64(77);
+    fn draw(rng: &mut StdRng, n: usize) -> Vec<f32> {
+        use rand::distributions::Distribution;
         let dist = Uniform::new(-2.0f32, 2.0);
-        let draw = |rng: &mut StdRng, n: usize| -> Vec<f32> {
-            use rand::distributions::Distribution;
-            (0..n).map(|_| dist.sample(rng)).collect()
-        };
-        let x = draw(&mut rng, n);
-        let bias = draw(&mut rng, lane.len);
-        let residual = draw(&mut rng, n);
-        let gamma = draw(&mut rng, lane.len);
-        let beta = draw(&mut rng, lane.len);
-        let map = BiasMap {
-            dims: vec![(1, lane.len, 1)],
-        };
-        let causal = CausalMap {
-            div: 1,
-            len: 3,
-            base: 0,
-        };
-
-        for p in [0.0f32, 0.4] {
-            let mut c = vec![vec![0.0f32; n]; 5];
-            let mut u = vec![vec![7.0f32; n]; 5];
-
-            bias_add_into(&x, &bias, &map, &mut c[0]);
-            unsafe { bias_add_into_unchecked(&x, &bias, &map, &mut u[0]) };
-            assert_bits("bias_add", &c[0], &u[0]);
-
-            softmax_scaled_into(&x, 0.5, lane, &mut c[0]);
-            unsafe { softmax_scaled_into_unchecked(&x, 0.5, lane, &mut u[0]) };
-            assert_bits("softmax_scaled", &c[0], &u[0]);
-
-            softmax_causal_into(&x, 0.5, lane, causal, &mut c[0]);
-            unsafe { softmax_causal_into_unchecked(&x, 0.5, lane, causal, &mut u[0]) };
-            assert_bits("softmax_causal", &c[0], &u[0]);
-
-            let mut r1 = StdRng::seed_from_u64(5);
-            let mut r2 = StdRng::seed_from_u64(5);
-            #[allow(clippy::indexing_slicing)]
-            {
-                let [s1, a1, m1, ..] = &mut c[..] else {
-                    unreachable!()
-                };
-                sm_into(&x, 0.5, lane, Some(causal), p, &mut r1, s1, a1, m1);
-                let [s2, a2, m2, ..] = &mut u[..] else {
-                    unreachable!()
-                };
-                unsafe { sm_into_unchecked(&x, 0.5, lane, Some(causal), p, &mut r2, s2, a2, m2) };
-            }
-            assert_bits("sm softmax", &c[0], &u[0]);
-            assert_bits("sm alpha", &c[1], &u[1]);
-            assert_bits("sm mask", &c[2], &u[2]);
-
-            let (mut mu1, mut is1) = (vec![0.0f32; lane.pre], vec![0.0f32; lane.pre]);
-            let (mut mu2, mut is2) = (vec![7.0f32; lane.pre], vec![7.0f32; lane.pre]);
-            layernorm_into(&x, &gamma, &beta, lane, &mut c[0], &mut mu1, &mut is1);
-            unsafe {
-                layernorm_into_unchecked(&x, &gamma, &beta, lane, &mut u[0], &mut mu2, &mut is2)
-            };
-            assert_bits("layernorm out", &c[0], &u[0]);
-            assert_bits("layernorm mean", &mu1, &mu2);
-            assert_bits("layernorm inv_std", &is1, &is2);
-
-            let mut r1 = StdRng::seed_from_u64(6);
-            let mut r2 = StdRng::seed_from_u64(6);
-            {
-                let [m1, li1, o1, ..] = &mut c[..] else {
-                    unreachable!()
-                };
-                bdrln_into(
-                    &x, &bias, &map, &residual, &gamma, &beta, lane, p, &mut r1, m1, li1, o1,
-                    &mut mu1, &mut is1,
-                );
-                let [m2, li2, o2, ..] = &mut u[..] else {
-                    unreachable!()
-                };
-                unsafe {
-                    bdrln_into_unchecked(
-                        &x, &bias, &map, &residual, &gamma, &beta, lane, p, &mut r2, m2, li2, o2,
-                        &mut mu2, &mut is2,
-                    )
-                };
-            }
-            for (tag, i) in [("mask", 0), ("ln_input", 1), ("out", 2)] {
-                assert_bits(&format!("bdrln {tag}"), &c[i], &u[i]);
-            }
-            assert_bits("bdrln mean", &mu1, &mu2);
-            assert_bits("bdrln inv_std", &is1, &is2);
-
-            let mut r1 = StdRng::seed_from_u64(7);
-            let mut r2 = StdRng::seed_from_u64(7);
-            {
-                let [z1, o1, m1, ..] = &mut c[..] else {
-                    unreachable!()
-                };
-                brd_act_into(
-                    &x,
-                    &bias,
-                    &map,
-                    ActivationKind::Gelu,
-                    p,
-                    &mut r1,
-                    z1,
-                    o1,
-                    m1,
-                );
-                let [z2, o2, m2, ..] = &mut u[..] else {
-                    unreachable!()
-                };
-                unsafe {
-                    brd_act_into_unchecked(
-                        &x,
-                        &bias,
-                        &map,
-                        ActivationKind::Gelu,
-                        p,
-                        &mut r2,
-                        z2,
-                        o2,
-                        m2,
-                    )
-                };
-            }
-            for (tag, i) in [("pre_activation", 0), ("out", 1), ("mask", 2)] {
-                assert_bits(&format!("brd {tag}"), &c[i], &u[i]);
-            }
-
-            let mut r1 = StdRng::seed_from_u64(8);
-            let mut r2 = StdRng::seed_from_u64(8);
-            {
-                let [m1, o1, ..] = &mut c[..] else {
-                    unreachable!()
-                };
-                bdr_into(&x, &bias, &map, &residual, p, &mut r1, m1, o1);
-                let [m2, o2, ..] = &mut u[..] else {
-                    unreachable!()
-                };
-                unsafe { bdr_into_unchecked(&x, &bias, &map, &residual, p, &mut r2, m2, o2) };
-            }
-            assert_bits("bdr mask", &c[0], &u[0]);
-            assert_bits("bdr out", &c[1], &u[1]);
-        }
+        (0..n).map(|_| dist.sample(rng)).collect()
     }
 
-    /// The locally-certified dispatchers run the licensed path exactly
-    /// when the lane geometry discharges the twin's obligations.
-    #[test]
-    fn dispatchers_license_only_unit_stride_lanes() {
-        let unit = LaneGeom {
-            pre: 2,
-            len: 3,
-            post: 1,
-        };
-        let strided = LaneGeom {
-            pre: 2,
-            len: 3,
-            post: 2,
-        };
-        let x = vec![0.5f32; strided.elements()];
-        let mut out = vec![0.0f32; strided.elements()];
-        assert!(softmax_scaled_into_dispatch(
-            &x[..unit.elements()],
-            1.0,
-            unit,
-            &mut out[..unit.elements()]
-        ));
-        assert!(!softmax_scaled_into_dispatch(&x, 1.0, strided, &mut out));
-        let (gamma, beta) = (vec![1.0f32; 3], vec![0.0f32; 3]);
-        let (mut mu, mut is) = (vec![0.0f32; 4], vec![0.0f32; 4]);
-        assert!(layernorm_into_dispatch(
-            &x[..unit.elements()],
-            &gamma,
-            &beta,
-            unit,
-            &mut out[..unit.elements()],
-            &mut mu,
-            &mut is
-        ));
-        assert!(!layernorm_into_dispatch(
-            &x, &gamma, &beta, strided, &mut out, &mut mu, &mut is
-        ));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // Each unit-stride fast path against the strided general loop on
+        // the same `post == 1` input, bitwise: outputs, saved masks,
+        // statistics and the RNG end state. The two loops start from
+        // different buffer contents, so a word either leaves unwritten
+        // shows up as a mismatch.
+        #[test]
+        fn rows_fast_paths_match_strided_loops_bitwise(
+            pre in 1usize..6, len in 1usize..9, seed in 0u64..1000, p_idx in 0usize..3,
+            div in 1usize..3, q_len in 1usize..6, base in 0usize..3, masked in any::<bool>(),
+        ) {
+            let p = [0.0f32, 0.1, 0.5][p_idx];
+            let lane = LaneGeom { pre, len, post: 1 };
+            let n = lane.elements();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = draw(&mut rng, n);
+            // a bias over both axes, so the gather depends on the lane too
+            let bias = draw(&mut rng, n);
+            let residual = draw(&mut rng, n);
+            let gamma = draw(&mut rng, len);
+            let beta = draw(&mut rng, len);
+            let bmap = BiasMap { dims: vec![(1, len, 1), (len, pre, len)] };
+            let causal = CausalMap { div, len: q_len, base };
+            let cmask = masked.then_some(causal);
+            let fresh = |fill: f32| (vec![fill; n], vec![fill; n], vec![fill; n]);
+            let stats = |fill: f32| (vec![fill; pre], vec![fill; pre]);
+
+            let (mut fast, mut slow) = (fresh(7.0), fresh(-7.0));
+            softmax_scaled_rows(&x, 0.5, lane, &mut fast.0);
+            softmax_scaled_strided(&x, 0.5, lane, &mut slow.0);
+            assert_bits("softmax_scaled", &fast.0, &slow.0);
+
+            softmax_causal_rows(&x, 0.5, lane, causal, &mut fast.0);
+            softmax_causal_strided(&x, 0.5, lane, causal, &mut slow.0);
+            assert_bits("softmax_causal", &fast.0, &slow.0);
+
+            let (mut fast, mut slow) = (fresh(7.0), fresh(-7.0));
+            let (mut r1, mut r2) = (StdRng::seed_from_u64(seed ^ 0xD5), StdRng::seed_from_u64(seed ^ 0xD5));
+            sm_rows(&x, 0.125, lane, cmask, p, &mut r1, &mut fast.0, &mut fast.1, &mut fast.2);
+            sm_strided(&x, 0.125, lane, cmask, p, &mut r2, &mut slow.0, &mut slow.1, &mut slow.2);
+            assert_bits("sm softmax", &fast.0, &slow.0);
+            assert_bits("sm alpha", &fast.1, &slow.1);
+            assert_bits("sm mask", &fast.2, &slow.2);
+            assert_same_rng_state(&mut r1, &mut r2, "sm");
+
+            let (mut fs, mut ss) = (stats(7.0), stats(-7.0));
+            layernorm_rows(&x, &gamma, &beta, lane, &mut fast.0, &mut fs.0, &mut fs.1);
+            layernorm_strided(&x, &gamma, &beta, lane, &mut slow.0, &mut ss.0, &mut ss.1);
+            assert_bits("layernorm out", &fast.0, &slow.0);
+            assert_bits("layernorm mean", &fs.0, &ss.0);
+            assert_bits("layernorm inv_std", &fs.1, &ss.1);
+
+            let (mut fast, mut slow) = (fresh(7.0), fresh(-7.0));
+            let (mut fs, mut ss) = (stats(7.0), stats(-7.0));
+            let (mut r1, mut r2) = (StdRng::seed_from_u64(seed ^ 0xB0), StdRng::seed_from_u64(seed ^ 0xB0));
+            bdrln_rows(&x, &bias, &bmap, &residual, &gamma, &beta, lane, p, &mut r1,
+                       &mut fast.0, &mut fast.1, &mut fast.2, &mut fs.0, &mut fs.1);
+            bdrln_strided(&x, &bias, &bmap, &residual, &gamma, &beta, lane, p, &mut r2,
+                          &mut slow.0, &mut slow.1, &mut slow.2, &mut ss.0, &mut ss.1);
+            assert_bits("bdrln mask", &fast.0, &slow.0);
+            assert_bits("bdrln ln_input", &fast.1, &slow.1);
+            assert_bits("bdrln out", &fast.2, &slow.2);
+            assert_bits("bdrln mean", &fs.0, &ss.0);
+            assert_bits("bdrln inv_std", &fs.1, &ss.1);
+            assert_same_rng_state(&mut r1, &mut r2, "bdrln");
+        }
     }
 }

@@ -41,6 +41,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod axes;
@@ -51,6 +52,8 @@ pub mod fused;
 pub mod half;
 pub mod into_ops;
 mod layout;
+// the AVX-512 GEMM's `target_feature` calls and vector loads/stores
+#[allow(unsafe_code)]
 pub mod matmul;
 pub mod ops;
 mod tensor;

@@ -50,31 +50,24 @@ pub fn layernorm(
         inv_std: Vec::new(),
     };
     if stride == 1 && x.layout().is_row_major_for(x.shape()) {
-        // Locally discharged access certificate: dense physically row-major
-        // buffer with a unit-stride reduce axis, so `post == 1` (every axis
-        // after `ai` is a singleton) and each lane is an exact contiguous
-        // chunk. `for_each_outer` visits outer indices in logical row-major
-        // order, which with singleton trailing axes is exactly `pre`-major —
-        // the order the twin writes its per-lane statistics.
+        // dense, physically row-major, unit-stride reduce axis: `post == 1`
+        // (every axis after `ai` is a singleton), so the lane kernel takes
+        // its contiguous-row fast path. `for_each_outer` visits outer
+        // indices in logical row-major order, which with singleton trailing
+        // axes is exactly `pre`-major — the order the kernel writes its
+        // per-lane statistics.
         let lane = crate::into_ops::LaneGeom::new(x.shape().sizes(), ai);
-        debug_assert_eq!(lane.post, 1);
-        debug_assert_eq!(lane.elements(), x.data().len());
         stats.mean.resize(lane.lanes(), 0.0);
         stats.inv_std.resize(lane.lanes(), 0.0);
-        // SAFETY: in-bounds and unit-stride proven above; `out` is a clone
-        // of `x`; `gamma`/`beta` were checked to hold exactly `len` words;
-        // the stats vectors were just sized to `lane.lanes()`.
-        unsafe {
-            crate::into_ops::layernorm_into_unchecked(
-                x.data(),
-                gamma.data(),
-                beta.data(),
-                lane,
-                out.data_mut(),
-                &mut stats.mean,
-                &mut stats.inv_std,
-            );
-        }
+        crate::into_ops::layernorm_into(
+            x.data(),
+            gamma.data(),
+            beta.data(),
+            lane,
+            out.data_mut(),
+            &mut stats.mean,
+            &mut stats.inv_std,
+        );
         return Ok((out, stats));
     }
     for_each_outer(x.shape(), ai, |idx| {

@@ -31,19 +31,11 @@ pub fn softmax(x: &Tensor, axis: Axis) -> Result<Tensor> {
     let stride = x.strides()[ai];
     let mut out = x.clone();
     if stride == 1 && x.layout().is_row_major_for(x.shape()) {
-        // Locally discharged access certificate: the buffer is dense
-        // (`data().len() == num_elements`, a `Tensor` invariant), physically
-        // row-major, and the reduce axis has unit stride — so `post == 1`
-        // and every lane is an exact contiguous chunk. `scaler = 1.0` is a
-        // bitwise identity under IEEE 754 multiplication.
+        // dense, physically row-major, unit-stride reduce axis: `post == 1`,
+        // so the lane kernel takes its contiguous-row fast path.
+        // `scaler = 1.0` is a bitwise identity under IEEE 754 multiplication.
         let lane = crate::into_ops::LaneGeom::new(x.shape().sizes(), ai);
-        debug_assert_eq!(lane.post, 1);
-        debug_assert_eq!(lane.elements(), x.data().len());
-        // SAFETY: in-bounds and unit-stride proven by the checks above;
-        // `out` is a clone of `x`, so it has the same length.
-        unsafe {
-            crate::into_ops::softmax_scaled_into_unchecked(x.data(), 1.0, lane, out.data_mut());
-        }
+        crate::into_ops::softmax_scaled_into(x.data(), 1.0, lane, out.data_mut());
         return Ok(out);
     }
     for_each_outer(x.shape(), ai, |idx| {

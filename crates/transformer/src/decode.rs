@@ -447,7 +447,7 @@ impl<'m> DecodeSession<'m> {
     /// # Errors
     ///
     /// Returns an error before prefill, past `max_seq`, on a bad token
-    /// id, or if an arena invariant breaks (busy buffers, missing
+    /// id, or if an arena invariant breaks (a declined binding, missing
     /// outputs).
     pub fn advance(&mut self, tokens: &[usize]) -> Result<&Tensor> {
         if self.attend.is_none() {
@@ -511,7 +511,7 @@ impl<'m> DecodeSession<'m> {
                 match project.execute_bound(&run, &mut bind, &mut sink)? {
                     ArenaOutcome::Ran => {}
                     ArenaOutcome::Busy => {
-                        return Err(unsupported("decode project arena busy"));
+                        return Err(unsupported("decode project arena declined the step"));
                     }
                 }
             }
@@ -553,7 +553,7 @@ impl<'m> DecodeSession<'m> {
                         return Err(unsupported("attend arena produced no `y`"));
                     }
                     ArenaOutcome::Busy => {
-                        return Err(unsupported("decode attend arena busy"));
+                        return Err(unsupported("decode attend arena declined the step"));
                     }
                 }
             }

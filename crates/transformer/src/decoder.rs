@@ -154,8 +154,8 @@ impl DecoderLayer {
     ///
     /// # Errors
     ///
-    /// Returns an error if `x` has the wrong shape, the plan fails
-    /// validation, a parallel run lacks a certificate, or a kernel rejects
+    /// Returns an error if `x` or a weight has the wrong shape, the plan
+    /// fails validation, a parallel run lacks a certificate, or a kernel rejects
     /// its operands.
     pub fn forward(
         &self,
@@ -163,6 +163,7 @@ impl DecoderLayer {
         w: &EncoderWeights,
         opts: &ExecOptions,
     ) -> Result<ForwardOutput<DecoderActivations>> {
+        interp::check_inputs(&self.dims, x, w)?;
         let cached;
         let (graph, plan, cert) = match opts.plan {
             Some(o) => (o.graph, o.plan, o.cert),
@@ -204,8 +205,9 @@ impl DecoderLayer {
     ///
     /// # Errors
     ///
-    /// Returns an error if `y` has the wrong size, `x` has the wrong
-    /// shape, or the execution itself fails.
+    /// Returns an error if `y` is not a row-major `[i,b,j]` tensor of the
+    /// block's dimensions, `x` or a weight has the wrong shape, or the
+    /// execution itself fails.
     pub fn forward_into(
         &self,
         x: &Tensor,
@@ -213,6 +215,8 @@ impl DecoderLayer {
         opts: &ExecOptions,
         y: &mut Tensor,
     ) -> Result<()> {
+        interp::check_inputs(&self.dims, x, w)?;
+        interp::check_output(&self.dims, y)?;
         let merged = opts
             .to_builder()
             .dropout_p(self.dropout_p)

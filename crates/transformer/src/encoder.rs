@@ -202,8 +202,8 @@ impl EncoderLayer {
     ///
     /// # Errors
     ///
-    /// Returns an error if `x` has the wrong shape for the layer's
-    /// dimensions, the plan fails validation, a parallel run lacks a
+    /// Returns an error if `x` or a weight has the wrong shape for the
+    /// layer's dimensions, the plan fails validation, a parallel run lacks a
     /// certificate, or a kernel rejects its operands.
     pub fn forward(
         &self,
@@ -211,6 +211,7 @@ impl EncoderLayer {
         w: &EncoderWeights,
         opts: &ExecOptions,
     ) -> Result<ForwardOutput<Activations>> {
+        interp::check_inputs(&self.dims, x, w)?;
         let cached;
         let (graph, plan, cert): (&Graph, &ExecutionPlan, Option<&RaceCertificate>) =
             match opts.plan {
@@ -251,16 +252,17 @@ impl EncoderLayer {
     /// ([`xform_core::plan::SanitizeMode::Env`] is resolved once per
     /// process on this path, so set `XFORM_SANITIZE` before the first
     /// call). Saved activations are not assembled. When the arena is
-    /// unavailable — a plan override or profiler is configured, the
-    /// canned plan has a shape the arena compiler declined, or another
-    /// thread holds the slab — the call falls back transparently to the
-    /// allocating [`EncoderLayer::forward`].
+    /// unavailable — a plan override or profiler is configured, or the
+    /// canned plan has a shape the arena compiler declined — the call
+    /// falls back transparently to the allocating
+    /// [`EncoderLayer::forward`]. A call waits while another thread runs
+    /// the same arena.
     ///
     /// # Errors
     ///
-    /// Returns an error if `y` has the wrong size, `x` has the wrong
-    /// shape, or the execution itself fails (see
-    /// [`EncoderLayer::forward`]).
+    /// Returns an error if `y` is not a row-major `[i,b,j]` tensor of the
+    /// layer's dimensions, `x` or a weight has the wrong shape, or the
+    /// execution itself fails (see [`EncoderLayer::forward`]).
     pub fn forward_into(
         &self,
         x: &Tensor,
@@ -268,6 +270,8 @@ impl EncoderLayer {
         opts: &ExecOptions,
         y: &mut Tensor,
     ) -> Result<()> {
+        interp::check_inputs(&self.dims, x, w)?;
+        interp::check_output(&self.dims, y)?;
         if opts.plan.is_none()
             && opts.profiler.is_none()
             && interp::arena_forward_into(

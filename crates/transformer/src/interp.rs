@@ -73,7 +73,7 @@ pub struct PlannedForward {
     /// Freedom-from-races certificate over the plan's hazard-DAG waves.
     pub cert: RaceCertificate,
     /// Access-path certificate: every operand path proven in-bounds and
-    /// alias-free, with per-step licenses for the unchecked kernel twins.
+    /// alias-free, with a per-step unit-stride verdict.
     pub access: AccessCertificate,
 }
 
@@ -265,18 +265,85 @@ pub(crate) fn arena_run(opts: &ExecOptions) -> ArenaRun {
     }
 }
 
+/// `true` when `t`'s logical shape is exactly the axes of `spec`, in that
+/// order, at `dims`' sizes. Allocates nothing.
+fn has_shape(t: &Tensor, spec: &str, dims: &EncoderDims) -> bool {
+    let s = t.shape();
+    s.rank() == spec.len()
+        && spec
+            .chars()
+            .zip(s.axes().iter().zip(s.sizes()))
+            .all(|(c, (a, &n))| a.0 == c && n == dims.size(c))
+}
+
+/// Rejects a layer input or weight whose shape differs from the one the
+/// layer graph declares for it: `x` is `[i,b,j]`, each weight as
+/// [`EncoderWeights`] documents. Binding copies a tensor by its logical
+/// element order and checks only the word count, so a transposed,
+/// relabeled or reshaped tensor of the right size would otherwise run and
+/// return a wrong answer. Allocates nothing.
+///
+/// # Errors
+///
+/// Returns [`xform_tensor::TensorError::ShapeMismatch`] on any mismatch.
+pub(crate) fn check_inputs(dims: &EncoderDims, x: &Tensor, w: &EncoderWeights) -> Result<()> {
+    let bound = [
+        (x, "ibj"),
+        (&w.wq, "phi"),
+        (&w.wk, "phi"),
+        (&w.wv, "whi"),
+        (&w.wo, "whi"),
+        (&w.bq, "ph"),
+        (&w.bk, "ph"),
+        (&w.bv, "wh"),
+        (&w.bo, "i"),
+        (&w.ln1_gamma, "i"),
+        (&w.ln1_beta, "i"),
+        (&w.w1, "ui"),
+        (&w.b1, "u"),
+        (&w.w2, "iu"),
+        (&w.b2, "i"),
+        (&w.ln2_gamma, "i"),
+        (&w.ln2_beta, "i"),
+    ];
+    if bound.iter().all(|&(t, spec)| has_shape(t, spec, dims)) {
+        Ok(())
+    } else {
+        Err(xform_tensor::TensorError::ShapeMismatch {
+            context: "layer forward: an input or weight differs from the layer graph's shape",
+        })
+    }
+}
+
+/// Rejects a `forward_into` destination that is not a dense row-major
+/// `[i,b,j]` tensor at `dims`: the output is copied in as raw words.
+///
+/// # Errors
+///
+/// Returns [`xform_tensor::TensorError::ShapeMismatch`] otherwise.
+pub(crate) fn check_output(dims: &EncoderDims, y: &Tensor) -> Result<()> {
+    if has_shape(y, "ibj", dims) && y.layout().is_row_major_for(y.shape()) {
+        Ok(())
+    } else {
+        Err(xform_tensor::TensorError::ShapeMismatch {
+            context: "layer forward_into: the output is not a row-major [i,b,j] tensor",
+        })
+    }
+}
+
 /// Drives one zero-allocation forward out of the cached arena: binds `x`
 /// and the weight set straight into the slab (stacking Q/K/V into the
 /// `w_qkv` region without materializing the concatenation) and copies the
 /// produced `y` into the caller's buffer. `opts` must already be merged
-/// with the layer knobs. Returns `Ok(false)` when the caller should fall
+/// with the layer knobs, and `x`, `w` and `y` checked by [`check_inputs`]
+/// and [`check_output`]. Returns `Ok(false)` when the caller should fall
 /// back to the allocating interpreter (no arena for this plan shape, or
-/// the arena's buffers are busy in another thread).
+/// one that cannot run this call).
 ///
 /// # Errors
 ///
-/// Returns an error if `y` has the wrong size for the layer output, the
-/// arena fails to compile, or the shadow sanitizer trips.
+/// Returns an error if the arena fails to compile or the shadow sanitizer
+/// trips.
 pub(crate) fn arena_forward_into(
     dims: &EncoderDims,
     kind: PlanKind,
@@ -288,16 +355,6 @@ pub(crate) fn arena_forward_into(
     let Some(arena) = cached_arena(dims, kind, granularity_for(opts.threads))? else {
         return Ok(false);
     };
-    if y.len() != dims.i * dims.b * dims.j {
-        return Err(xform_tensor::TensorError::Unsupported(format!(
-            "output tensor holds {} words; the layer produces {} ([i,b,j] = [{},{},{}])",
-            y.len(),
-            dims.i * dims.b * dims.j,
-            dims.i,
-            dims.b,
-            dims.j,
-        )));
-    }
     let run = arena_run(opts);
     let mut bind = |name: &str, dst: &mut [f32]| -> bool {
         let src = match name {

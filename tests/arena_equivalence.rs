@@ -6,6 +6,9 @@
 //! each step's stream independently, so serial and wave-parallel runs see
 //! identical randomness).
 
+use std::sync::mpsc;
+use std::time::Duration;
+
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -130,6 +133,46 @@ fn dropout_is_thread_count_invariant_under_the_arena() {
             assert_eq!(serial.data(), par.data(), "p={p} threads={threads}");
         }
     }
+}
+
+#[test]
+fn a_contended_arena_waits_instead_of_changing_the_dropout_stream() {
+    // A forward that finds its arena held by another thread must wait for
+    // it: the allocating fallback draws dropout masks from other RNG
+    // streams, so falling back under contention would make the output
+    // depend on timing. The holder keeps the buffers until the contender
+    // reports back (it fell back) or a grace period passes (it waits).
+    let (dims, w, x) = setup();
+    let layer = EncoderLayer::new(dims, Executor::Fused, 0.5);
+    let opts = ExecOptions::builder().seed(23).build();
+    let want = layer.forward(&x, &w, &opts).unwrap().y;
+    let arena = interp::cached_arena(
+        &dims,
+        interp::PlanKind::EncoderFused,
+        interp::granularity_for(1),
+    )
+    .unwrap()
+    .expect("the fused encoder compiles an arena");
+    let (held_tx, held_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let arena = &arena;
+    std::thread::scope(|s| {
+        s.spawn(move || loop {
+            // other tests in this binary may hold the arena for a moment
+            let held = arena.with_external_mut("x", |_| {
+                held_tx.send(()).unwrap();
+                let _ = done_rx.recv_timeout(Duration::from_millis(300));
+            });
+            if held.is_some() {
+                break;
+            }
+            std::thread::yield_now();
+        });
+        held_rx.recv().unwrap();
+        let got = layer.forward(&x, &w, &opts).unwrap().y;
+        let _ = done_tx.send(());
+        assert_eq!(want.data(), got.data());
+    });
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! The `StridedInnerLoop` demotion path, end to end: a deliberately
 //! strided schedule (the softmax input's layout rotated so the reduce
 //! axis is no longer innermost, plus random layout twists elsewhere)
-//! loses its access license on the strided step — the interpreters must
-//! demote it to the checked kernels — and the wave-parallel run of that
-//! demoted plan must stay bitwise identical to the serial run at every
-//! thread count. Dropout is off, so no RNG stream is consumed and any
+//! loses its unit-stride verdict on the strided step — its kernel runs
+//! the strided general loop — and the wave-parallel run of that demoted
+//! plan must stay bitwise identical to the serial run at every thread
+//! count. Dropout is off, so no RNG stream is consumed and any
 //! divergence is a kernel-dispatch bug, not noise.
 
 use proptest::prelude::*;
@@ -53,8 +53,8 @@ fn rotate(s: &str, n: usize) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // A strided softmax input demotes the step to the checked kernels
-    // (unlicensed, StridedInnerLoop warning), and the wave-parallel
+    // A strided softmax input demotes the step to the strided general path
+    // (not unit-stride, StridedInnerLoop warning), and the wave-parallel
     // interpreter of the demoted plan is bitwise-equal to the serial one.
     #[test]
     fn strided_plan_demotes_and_wave_parallel_matches_serial_bitwise(
@@ -86,8 +86,8 @@ proptest! {
             .all(|l| l.severity() != Severity::Error));
 
         // the access certifier still certifies the plan (strided is a
-        // warning, not an error) but refuses the strided step its
-        // unchecked license — that's the demotion the interpreters obey
+        // warning, not an error) but denies the strided step its
+        // unit-stride verdict — the step runs the strided general path
         let acc = certify_access(&planned.graph, &plan)
             .expect("a strided plan certifies with warnings");
         prop_assert!(
@@ -97,8 +97,8 @@ proptest! {
             "the rotated layout must surface a StridedInnerLoop warning"
         );
         prop_assert!(
-            !acc.licensed(si),
-            "the strided softmax step must lose its unchecked license"
+            !acc.steps[si].unit_stride,
+            "the strided softmax step must lose its unit-stride verdict"
         );
 
         let cert = certify(&planned.graph, &plan).expect("race certification");
